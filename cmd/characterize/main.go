@@ -30,7 +30,6 @@ func main() {
 		program = flag.String("program", "SP", "program: LU, SP, BT, CP or LB")
 		seed    = flag.Int64("seed", 42, "measurement seed")
 		workers = flag.Int("workers", 0, "parallel simulations (0 = default)")
-		engine  = flag.String("engine", "", "simulation engine: goroutine or sequential (default $HYBRIDPERF_ENGINE, then goroutine; results are bit-identical)")
 		outFile = flag.String("o", "", "write model inputs as JSON to this file")
 		showMx  = flag.Bool("metrics", false, "print aggregate engine counters over the campaign's runs")
 	)
@@ -44,7 +43,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sum, err := characterize.Run(prof, spec, characterize.Options{Seed: *seed, Workers: *workers, Engine: *engine, Metrics: *showMx})
+	sum, err := characterize.Run(prof, spec, characterize.Options{Seed: *seed, Workers: *workers, Metrics: *showMx})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -35,11 +35,10 @@
 // always served locally). Ownership is advisory — a forward that fails
 // at the transport falls back to serving locally.
 //
-// Predict and sweep bodies accept an optional "engine" field selecting
-// the simulation engine ("goroutine" or "sequential" — bit-identical
-// results, the sequential engine is faster); -default-engine sets the
-// server-wide default and the engine_* /metrics families are labelled
-// per mode.
+// Every simulation runs on the sequential DES engine. Request bodies
+// still accept an optional "engine" field for clients of the former
+// two-engine API: "sequential" (or no field) is served, the removed
+// "goroutine" engine is a structured 400.
 //
 // Observability surface: GET /metrics (Prometheus text exposition of
 // request counters/latency histograms plus the simulation engine's own
@@ -71,7 +70,6 @@ import (
 	"syscall"
 	"time"
 
-	"hybridperf/internal/exec"
 	"hybridperf/internal/modelstore"
 	"hybridperf/internal/telemetry"
 )
@@ -87,7 +85,6 @@ func main() {
 		spanCap  = flag.Int("span-capacity", 0, "span flight-recorder capacity (0 = 4096)")
 		maxCamp  = flag.Int("max-campaigns", 0, "max concurrent characterisation/sweep campaigns; excess requests get 429 (0 = 4)")
 		reqTO    = flag.Duration("request-timeout", 0, "per-request deadline cancelling in-flight work, e.g. 30s (0 = none)")
-		defEng   = flag.String("default-engine", "", "simulation engine for requests without an \"engine\" field: goroutine or sequential (default $HYBRIDPERF_ENGINE, then goroutine)")
 		cacheSz  = flag.Int("response-cache-size", 512, "sweep/batch response cache entries; identical in-flight requests collapse onto one computation (0 = disabled)")
 		cacheTTL = flag.Duration("response-cache-ttl", 5*time.Minute, "response cache entry lifetime (0 = entries never expire)")
 		storeDir = flag.String("model-store", "", "directory for persistent characterisation snapshots; warm-loaded at boot, written after every campaign (empty = no persistence)")
@@ -98,10 +95,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := exec.ValidateEngine(*defEng); err != nil {
-		fmt.Fprintf(os.Stderr, "hybridperfd: bad -default-engine: %v\n", err)
-		os.Exit(2)
-	}
 	if *advSlow < 0 || *advSlow >= 1 {
 		fmt.Fprintf(os.Stderr, "hybridperfd: bad -advise-slowdown %g (want a fraction in (0,1))\n", *advSlow)
 		os.Exit(2)
@@ -141,7 +134,6 @@ func main() {
 		SpanCapacity:      *spanCap,
 		MaxCampaigns:      *maxCamp,
 		RequestTimeout:    *reqTO,
-		DefaultEngine:     *defEng,
 		ResponseCache:     *cacheSz,
 		ResponseCacheTTL:  *cacheTTL,
 		TraceSample:       *traceSmp,
@@ -190,7 +182,7 @@ func main() {
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	logger.Info("serving", "addr", *addr, "workers", *workers, "seed", *seed, "engine", srv.DefaultEngine())
+	logger.Info("serving", "addr", *addr, "workers", *workers, "seed", *seed)
 
 	select {
 	case err := <-errc:

@@ -31,7 +31,6 @@ func main() {
 		c        = flag.Int("c", 1, "cores per node")
 		fGHz     = flag.Float64("f", 0, "core frequency [GHz]; 0 = fmax")
 		seed     = flag.Int64("seed", 1, "simulation seed")
-		engine   = flag.String("engine", "", "simulation engine: goroutine or sequential (default $HYBRIDPERF_ENGINE, then goroutine; results are bit-identical)")
 		timeline = flag.Bool("timeline", false, "render a per-rank phase Gantt chart")
 		traceOut = flag.String("trace", "", "write the phase timeline as a Chrome-trace JSON file")
 		showMx   = flag.Bool("metrics", false, "report engine instrumentation counters")
@@ -53,7 +52,7 @@ func main() {
 	cfg := hybridperf.Config{Nodes: *n, Cores: *c, Freq: f}
 	res, err := exec.Run(exec.Request{
 		Prof: sys, Spec: prog, Class: hybridperf.Class(*class), Cfg: cfg,
-		Seed: *seed, Engine: *engine, Trace: *timeline || *traceOut != "", Metrics: *showMx,
+		Seed: *seed, Trace: *timeline || *traceOut != "", Metrics: *showMx,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -76,7 +75,7 @@ func main() {
 	}
 	// Deterministic by design: no wall-clock here, so two invocations with
 	// the same seed stay byte-diffable.
-	fmt.Fprintf(w, "engine       %s: %d events on %d procs\n", res.Engine.Engine, res.Engine.Events, res.Engine.Procs)
+	fmt.Fprintf(w, "engine       %d events on %d procs\n", res.Engine.Events, res.Engine.Procs)
 	if *timeline || *traceOut != "" {
 		fmt.Fprintf(w, "measured UCR %.3f (from %d trace events)\n", res.MeasuredUCR, len(res.Trace))
 	}

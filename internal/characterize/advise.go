@@ -2,11 +2,13 @@ package characterize
 
 // Governed-run evaluation: the online DVFS advisory path. For a given
 // (system, program, n, c) the static Pareto point fixes the frequency
-// offline; the advisor then replays the DES once per governor policy from
-// that point and reports each policy's energy/makespan delta against the
-// ungoverned static run — quantifying how much residual slack a runtime
-// governor reclaims on top of the paper's static choice (ROADMAP open
-// item 2; related work Sec. II.A).
+// offline; the advisor then replays the DES once per runtime governor
+// policy from that point and reports each policy's energy/makespan delta
+// against the ungoverned static run — quantifying how much residual slack
+// a runtime governor reclaims on top of the paper's static choice
+// (related work Sec. II.A). The "fixed" policy is the static oracle: its
+// run is bit-identical to the ungoverned baseline, so its outcome is
+// derived from the baseline instead of simulated again.
 
 import (
 	"context"
@@ -43,9 +45,8 @@ type AdviseOptions struct {
 	MaxSlowdown float64
 	Seed        int64
 	Workers     int // parallel policy runs (default 4)
-	// Engine, Ctx, SharedMetrics and Observe thread through to every
-	// simulation exactly as in Options.
-	Engine        string
+	// Ctx, SharedMetrics and Observe thread through to every simulation
+	// exactly as in Options.
 	Ctx           context.Context
 	SharedMetrics *metrics.Engine
 	Observe       func(label string, start, end time.Time)
@@ -97,8 +98,9 @@ type Advice struct {
 	// static oracle) when no policy beats it.
 	Recommended string
 
-	// Attribution: simulations performed (baseline + one per policy) and
-	// their summed simulated seconds and exact energy.
+	// Attribution: the baseline plus one run per policy and their summed
+	// simulated seconds and exact energy. The "fixed" policy counts as a
+	// run although its outcome is derived from the baseline's.
 	Runs       int
 	SimSeconds float64
 	SimEnergyJ float64
@@ -117,16 +119,15 @@ func levelsUpTo(prof *machine.Profile, fmax float64) []float64 {
 	return levels
 }
 
-// governorFor builds the per-rank governor factory for one policy, with a
-// ScheduleRecorder wrapped around rank 0's governor. The returned record
-// function yields rank 0's schedule after the run.
+// governorFor builds the per-rank governor factory for one simulated
+// policy ("slack" or "phase"), with a ScheduleRecorder wrapped around rank
+// 0's governor. The returned record function yields rank 0's schedule
+// after the run.
 func governorFor(policy string, prof *machine.Profile, cfg machine.Config, prior map[int]dvfs.PhaseSample, priorIters int, maxSlowdown float64) (func(int) dvfs.Governor, func() []dvfs.Transition, error) {
 	levels := levelsUpTo(prof, cfg.Freq)
 	rec := &dvfs.ScheduleRecorder{}
 	build := func(rank int) (dvfs.Governor, error) {
 		switch policy {
-		case dvfs.PolicyFixed:
-			return dvfs.Fixed(cfg.Freq), nil
 		case dvfs.PolicySlack:
 			return dvfs.NewInterNodeSlack(levels, 0, 0)
 		case dvfs.PolicyPhase:
@@ -169,15 +170,15 @@ func governorFor(policy string, prof *machine.Profile, cfg machine.Config, prior
 // n, c): it picks the static Pareto point over the frequency axis, runs
 // the ungoverned DES once at that point (recording the per-rank phase
 // trace that seeds the phase-predictive governor), then replays the run
-// once per policy and reports the deltas. Everything is deterministic for
-// a fixed seed, on either engine.
+// once per runtime policy and reports the deltas. The "fixed" outcome is
+// the baseline itself: a Fixed governor at the static frequency never
+// retunes, so its run is bit-identical to the ungoverned one (pinned by
+// exec's TestGovernorEngineDifferential). Everything is deterministic for
+// a fixed seed.
 func Advise(m *core.Model, prof *machine.Profile, spec *workload.Spec, opt AdviseOptions) (*Advice, error) {
 	opt.fill()
 	S, err := spec.Iterations(opt.Class)
 	if err != nil {
-		return nil, err
-	}
-	if err := exec.ValidateEngine(opt.Engine); err != nil {
 		return nil, err
 	}
 	for _, p := range opt.Policies {
@@ -215,7 +216,6 @@ func Advise(m *core.Model, prof *machine.Profile, spec *workload.Spec, opt Advis
 		Class:         opt.Class,
 		Cfg:           static.Cfg,
 		Seed:          opt.Seed,
-		Engine:        opt.Engine,
 		Ctx:           opt.Ctx,
 		SharedMetrics: opt.SharedMetrics,
 		Observe:       opt.Observe,
@@ -239,11 +239,15 @@ func Advise(m *core.Model, prof *machine.Profile, spec *workload.Spec, opt Advis
 		return nil, fmt.Errorf("characterize: degenerate baseline run (T=%g s, E=%g J)", baseT, baseE)
 	}
 
-	// 3. One governed run per policy, same seed and configuration as the
-	// baseline — the governor is the only difference.
-	reqs := make([]exec.Request, 0, len(opt.Policies))
-	schedules := make([]func() []dvfs.Transition, 0, len(opt.Policies))
+	// 3. One governed run per runtime policy, same seed and configuration
+	// as the baseline — the governor is the only difference. "fixed" is
+	// not simulated: its outcome is the baseline's.
+	var reqs []exec.Request
+	var schedules []func() []dvfs.Transition
 	for _, policy := range opt.Policies {
+		if policy == dvfs.PolicyFixed {
+			continue
+		}
 		factory, schedule, err := governorFor(policy, prof, static.Cfg, prior, S, opt.MaxSlowdown)
 		if err != nil {
 			return nil, err
@@ -264,22 +268,27 @@ func Advise(m *core.Model, prof *machine.Profile, spec *workload.Spec, opt Advis
 		BaselineTimeS:   baseT,
 		BaselineEnergyJ: baseE,
 		Recommended:     dvfs.PolicyFixed,
-		Runs:            1 + len(results),
+		Runs:            1 + len(opt.Policies),
 		SimSeconds:      baseT,
 		SimEnergyJ:      baseE,
 	}
-	bestE := math.Inf(1)
-	for i, res := range results {
-		out := PolicyOutcome{
-			Policy:      opt.Policies[i],
-			TimeS:       res.Time,
-			EnergyJ:     res.Energy.Total(),
-			TimeDelta:   res.Time/baseT - 1,
-			EnergyDelta: res.Energy.Total()/baseE - 1,
-			Schedule:    schedules[i](),
+	bestE, next := math.Inf(1), 0
+	for _, policy := range opt.Policies {
+		// The fixed outcome: the baseline's time and energy, zero deltas,
+		// and a schedule that never leaves the static frequency.
+		out := PolicyOutcome{Policy: policy, TimeS: baseT, EnergyJ: baseE}
+		if policy == dvfs.PolicyFixed {
+			out.Schedule = []dvfs.Transition{{Iter: 0, Freq: static.Cfg.Freq}}
+		} else {
+			res := results[next]
+			out.TimeS, out.EnergyJ = res.Time, res.Energy.Total()
+			out.TimeDelta = res.Time/baseT - 1
+			out.EnergyDelta = out.EnergyJ/baseE - 1
+			out.Schedule = schedules[next]()
+			next++
 		}
 		adv.Policies = append(adv.Policies, out)
-		adv.SimSeconds += res.Time
+		adv.SimSeconds += out.TimeS
 		adv.SimEnergyJ += out.EnergyJ
 		if out.TimeDelta <= opt.MaxSlowdown && out.EnergyJ < bestE && out.EnergyJ < baseE {
 			bestE = out.EnergyJ

@@ -3,10 +3,13 @@ package characterize
 import (
 	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hybridperf/internal/core"
 	"hybridperf/internal/dvfs"
+	"hybridperf/internal/exec"
 	"hybridperf/internal/machine"
 	"hybridperf/internal/workload"
 )
@@ -75,8 +78,8 @@ func TestAdvise(t *testing.T) {
 		t.Errorf("attribution runs = %d, want %d", adv.Runs, 1+len(adv.Policies))
 	}
 
-	// Deterministic and engine-independent: the whole advice, schedules
-	// included, must reproduce bit-for-bit on either engine.
+	// Deterministic: the whole advice, schedules included, must reproduce
+	// bit-for-bit.
 	again, err := Advise(m, prof, spec, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -84,14 +87,71 @@ func TestAdvise(t *testing.T) {
 	if !reflect.DeepEqual(adv, again) {
 		t.Error("advice is not deterministic across repeated evaluations")
 	}
-	seqOpt := opt
-	seqOpt.Engine = "sequential"
-	seq, err := Advise(m, prof, spec, seqOpt)
+}
+
+// TestAdviseFixedIsDerived: the "fixed" outcome is derived from the
+// baseline, not simulated — a fixed-only advice runs one simulation and
+// the full suite three — and it equals what simulating a Fixed governor
+// at the static point, with rank 0's schedule recorded, reports.
+func TestAdviseFixedIsDerived(t *testing.T) {
+	m, prof, spec := adviseFixture(t)
+	observed := func(policies ...string) (*Advice, int) {
+		t.Helper()
+		var runs atomic.Int32 // the governed runs observe concurrently
+		adv, err := Advise(m, prof, spec, AdviseOptions{
+			Class: workload.ClassS, Nodes: 2, Cores: 4, Seed: 42, Workers: 2,
+			Policies: policies,
+			Observe:  func(string, time.Time, time.Time) { runs.Add(1) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return adv, int(runs.Load())
+	}
+	full, runs := observed()
+	if runs != 3 {
+		t.Errorf("full suite fired Observe %d times, want 3", runs)
+	}
+	fixed, runs := observed(dvfs.PolicyFixed)
+	if runs != 1 {
+		t.Errorf("fixed-only advice fired Observe %d times, want 1", runs)
+	}
+	if fixed.Runs != 2 || fixed.SimSeconds != 2*fixed.BaselineTimeS || fixed.SimEnergyJ != 2*fixed.BaselineEnergyJ {
+		t.Errorf("fixed-only attribution changed: runs %d, %g s, %g J", fixed.Runs, fixed.SimSeconds, fixed.SimEnergyJ)
+	}
+	// A subset's outcomes are the full suite's, policy by policy.
+	sub, _ := observed(dvfs.PolicyPhase, dvfs.PolicyFixed)
+	for _, got := range append(fixed.Policies, sub.Policies...) {
+		for _, want := range full.Policies {
+			if got.Policy == want.Policy && !reflect.DeepEqual(got, want) {
+				t.Errorf("%s outcome differs between a subset and the full suite:\n got  %+v\n want %+v", got.Policy, got, want)
+			}
+		}
+	}
+
+	rec := &dvfs.ScheduleRecorder{G: dvfs.Fixed(full.Static.Cfg.Freq)}
+	res, err := exec.Run(exec.Request{
+		Prof: prof, Spec: spec, Class: workload.ClassS, Cfg: full.Static.Cfg, Seed: 42,
+		Governor: func(rank int) dvfs.Governor {
+			if rank == 0 {
+				return rec
+			}
+			return dvfs.Fixed(full.Static.Cfg.Freq)
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(adv, seq) {
-		t.Error("advice differs between goroutine and sequential engines")
+	want := PolicyOutcome{
+		Policy:      dvfs.PolicyFixed,
+		TimeS:       res.Time,
+		EnergyJ:     res.Energy.Total(),
+		TimeDelta:   res.Time/full.BaselineTimeS - 1,
+		EnergyDelta: res.Energy.Total()/full.BaselineEnergyJ - 1,
+		Schedule:    rec.Schedule(),
+	}
+	if !reflect.DeepEqual(full.Policies[0], want) {
+		t.Errorf("derived fixed outcome differs from the simulated one:\n got  %+v\n want %+v", full.Policies[0], want)
 	}
 }
 

@@ -27,11 +27,6 @@ type Options struct {
 	Workers       int            // parallel simulation workers (default 4)
 	BaselineClass workload.Class // default ClassS, the paper's small input Ps
 	ProfileNodes  int            // nodes for the mpiP run (default 2)
-	// Engine selects the simulation engine for every run of the campaign
-	// (see exec.Request.Engine). Both engines are bit-for-bit identical,
-	// so the characterised model does not depend on this choice; empty
-	// resolves through exec's default.
-	Engine string
 	// Ctx, when non-nil, cancels the campaign cooperatively: it is
 	// checked between stages and threaded into every simulation request,
 	// so a cancelled context stops in-flight simulations mid-run and the
@@ -126,9 +121,6 @@ func Run(prof *machine.Profile, spec *workload.Spec, opts Options) (*Summary, er
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if err := exec.ValidateEngine(opts.Engine); err != nil {
-		return nil, err
-	}
 	baseIters, err := spec.Iterations(opts.BaselineClass)
 	if err != nil {
 		return nil, err
@@ -167,7 +159,6 @@ func Run(prof *machine.Profile, spec *workload.Spec, opts Options) (*Summary, er
 				Class:         opts.BaselineClass,
 				Cfg:           machine.Config{Nodes: 1, Cores: c, Freq: f},
 				Seed:          opts.Seed + int64(len(reqs)),
-				Engine:        opts.Engine,
 				Ctx:           opts.Ctx,
 				Metrics:       opts.Metrics,
 				SharedMetrics: opts.SharedMetrics,
@@ -223,7 +214,6 @@ func Run(prof *machine.Profile, spec *workload.Spec, opts Options) (*Summary, er
 			Class:         opts.BaselineClass,
 			Cfg:           machine.Config{Nodes: n, Cores: 1, Freq: prof.FMax()},
 			Seed:          opts.Seed + 7919,
-			Engine:        opts.Engine,
 			Ctx:           opts.Ctx,
 			Metrics:       opts.Metrics,
 			SharedMetrics: opts.SharedMetrics,

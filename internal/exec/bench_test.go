@@ -11,22 +11,15 @@ import (
 // BenchmarkRun measures one validation-size direct measurement (SP at the
 // characterisation class on the largest validation configuration) — the
 // unit of work every experiment artifact and sweep repeats thousands of
-// times. ns/op and allocs/op for this fixture are the headline numbers
-// recorded in BENCH_3.json, per engine.
-func BenchmarkRun(b *testing.B) { benchmarkRun(b, EngineGoroutine) }
-
-// BenchmarkRunSequential is BenchmarkRun on the goroutine-free sequential
-// engine: identical results, no channel handoff per event.
-func BenchmarkRunSequential(b *testing.B) { benchmarkRun(b, EngineSequential) }
-
-func benchmarkRun(b *testing.B, engine string) {
+// times. ns/op and allocs/op for this fixture are gated in CI against the
+// sequential-engine reference in BENCH_3.json.
+func BenchmarkRun(b *testing.B) {
 	req := Request{
-		Prof:   machine.XeonE5(),
-		Spec:   workload.SP(),
-		Class:  workload.ClassS,
-		Cfg:    machine.Config{Nodes: 8, Cores: 8, Freq: 1.8e9},
-		Seed:   1,
-		Engine: engine,
+		Prof:  machine.XeonE5(),
+		Spec:  workload.SP(),
+		Class: workload.ClassS,
+		Cfg:   machine.Config{Nodes: 8, Cores: 8, Freq: 1.8e9},
+		Seed:  1,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -53,12 +46,11 @@ func BenchmarkRunGoverned(b *testing.B) {
 		}
 	}
 	req := Request{
-		Prof:   prof,
-		Spec:   workload.SP(),
-		Class:  workload.ClassS,
-		Cfg:    cfg,
-		Seed:   1,
-		Engine: EngineSequential,
+		Prof:  prof,
+		Spec:  workload.SP(),
+		Class: workload.ClassS,
+		Cfg:   cfg,
+		Seed:  1,
 		Governor: func(rank int) dvfs.Governor {
 			g, err := dvfs.NewPhasePredictive(levels, 0, dvfs.PhaseSample{}, 0.05)
 			if err != nil {
@@ -81,22 +73,15 @@ func BenchmarkRunGoverned(b *testing.B) {
 
 // BenchmarkSweep measures a small validation sweep (one point per node
 // count) through the concurrent sweep engine with 8 workers.
-func BenchmarkSweep(b *testing.B) { benchmarkSweep(b, EngineGoroutine) }
-
-// BenchmarkSweepSequential runs the same sweep with each point simulated
-// on the sequential engine (the sweep workers stay concurrent).
-func BenchmarkSweepSequential(b *testing.B) { benchmarkSweep(b, EngineSequential) }
-
-func benchmarkSweep(b *testing.B, engine string) {
+func BenchmarkSweep(b *testing.B) {
 	var reqs []Request
 	for _, nodes := range []int{1, 2, 4, 8} {
 		reqs = append(reqs, Request{
-			Prof:   machine.XeonE5(),
-			Spec:   workload.SP(),
-			Class:  workload.ClassS,
-			Cfg:    machine.Config{Nodes: nodes, Cores: 8, Freq: 1.8e9},
-			Seed:   int64(nodes),
-			Engine: engine,
+			Prof:  machine.XeonE5(),
+			Spec:  workload.SP(),
+			Class: workload.ClassS,
+			Cfg:   machine.Config{Nodes: nodes, Cores: 8, Freq: 1.8e9},
+			Seed:  int64(nodes),
 		})
 	}
 	b.ReportAllocs()

@@ -12,6 +12,32 @@ import (
 	"hybridperf/internal/workload"
 )
 
+// stepRank is a rank Machine for the rankMachine failure seam: it calls
+// onStep and then advances the clock by a microsecond, steps times, and
+// reports err through Err (the rankFailer contract).
+type stepRank struct {
+	env    *workload.Env
+	steps  int
+	onStep func(env *workload.Env, i int)
+	err    error
+	i      int
+}
+
+func (m *stepRank) Step(p *des.Proc) bool {
+	for m.i < m.steps {
+		if m.onStep != nil {
+			m.onStep(m.env, m.i)
+		}
+		m.i++
+		if !p.AdvanceArm(1e-6) {
+			return false
+		}
+	}
+	return true
+}
+
+func (m *stepRank) Err() error { return m.err }
+
 // TestRunPreCancelledContext: a request whose context is already dead
 // fails before the kernel is even built.
 func TestRunPreCancelledContext(t *testing.T) {
@@ -26,7 +52,7 @@ func TestRunPreCancelledContext(t *testing.T) {
 }
 
 // TestRunCancelledMidSimulation cancels from inside the simulation via
-// the runSpec seam: rank 0 cancels after a few steps and then keeps
+// the rankMachine seam: rank 0 cancels after a few steps and then keeps
 // computing, so the kernel's cooperative poll has to stop the run.
 func TestRunCancelledMidSimulation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -34,17 +60,15 @@ func TestRunCancelledMidSimulation(t *testing.T) {
 	req := xeonReq(machine.Config{Nodes: 2, Cores: 2, Freq: 1.8e9})
 	req.Ctx = ctx
 	steps := 0
-	req.runSpec = func(p *des.Proc, env *workload.Env) error {
-		for i := 0; i < 100000; i++ {
-			if env.Rank.ID() == 0 && i == 5 {
-				cancel()
-			}
-			p.Advance(1e-6)
+	req.rankMachine = func(env *workload.Env) (des.Machine, error) {
+		return &stepRank{env: env, steps: 100000, onStep: func(env *workload.Env, i int) {
 			if env.Rank.ID() == 0 {
+				if i == 5 {
+					cancel()
+				}
 				steps++
 			}
-		}
-		return nil
+		}}, nil
 	}
 	_, err := Run(req)
 	if !errors.Is(err, context.Canceled) {
@@ -87,12 +111,12 @@ func TestRunUncancelledContextIdentical(t *testing.T) {
 func TestRunAggregatesRankErrors(t *testing.T) {
 	sentinel := errors.New("rank blew up")
 	req := xeonReq(machine.Config{Nodes: 4, Cores: 1, Freq: 1.8e9})
-	req.runSpec = func(p *des.Proc, env *workload.Env) error {
-		p.Advance(1e-6)
+	req.rankMachine = func(env *workload.Env) (des.Machine, error) {
+		m := &stepRank{env: env, steps: 1}
 		if env.Rank.ID()%2 == 1 {
-			return fmt.Errorf("rank %d: %w", env.Rank.ID(), sentinel)
+			m.err = fmt.Errorf("rank %d: %w", env.Rank.ID(), sentinel)
 		}
-		return nil
+		return m, nil
 	}
 	_, err := Run(req)
 	if err == nil {

@@ -9,12 +9,59 @@ import (
 	"hybridperf/internal/workload"
 )
 
-// TestEngineDifferential is the cross-engine property test: randomized
-// (profile, program, nodes, cores, frequency, seed) configurations must
-// produce byte-identical results on the goroutine and sequential engines —
-// times, energies, communication profile, per-node totals, traces and the
-// shared engine counters. The generator is seeded, so failures reproduce;
-// CI's race leg runs this too, putting the goroutine side under -race.
+// assertSameRun fails unless two results of the same request agree bit
+// for bit on everything that measures the simulation: times, energies,
+// communication profile, counter totals, engine stats, and — when both
+// recorded them — the phase trace and the engine counters.
+func assertSameRun(t *testing.T, got, want *Result) {
+	t.Helper()
+	if got.Time != want.Time {
+		t.Errorf("Time diverged: %x vs %x", got.Time, want.Time)
+	}
+	if got.Energy != want.Energy {
+		t.Errorf("Energy diverged: %+v vs %+v", got.Energy, want.Energy)
+	}
+	if got.MeasuredEnergy != want.MeasuredEnergy {
+		t.Errorf("measured energy diverged: %x vs %x", got.MeasuredEnergy, want.MeasuredEnergy)
+	}
+	if got.Comm != want.Comm {
+		t.Errorf("communication profile diverged:\n got  %+v\n want %+v", got.Comm, want.Comm)
+	}
+	if got.Totals != want.Totals || got.MemWait != want.MemWait {
+		t.Errorf("counter totals diverged:\n got  %+v mem %x\n want %+v mem %x",
+			got.Totals, got.MemWait, want.Totals, want.MemWait)
+	}
+	if got.Engine != want.Engine {
+		t.Errorf("engine stats diverged: %+v vs %+v", got.Engine, want.Engine)
+	}
+	if got.Trace != nil && want.Trace != nil {
+		if got.MeasuredUCR != want.MeasuredUCR {
+			t.Errorf("measured UCR diverged: %x vs %x", got.MeasuredUCR, want.MeasuredUCR)
+		}
+		if len(got.Trace) != len(want.Trace) {
+			t.Fatalf("trace lengths diverged: %d vs %d", len(got.Trace), len(want.Trace))
+		}
+		for j := range want.Trace {
+			if got.Trace[j] != want.Trace[j] {
+				t.Fatalf("trace event %d diverged:\n got  %+v\n want %+v", j, got.Trace[j], want.Trace[j])
+			}
+		}
+	}
+	if got.Metrics != nil && want.Metrics != nil {
+		if g, w := got.Metrics.Engine, want.Metrics.Engine; g != w {
+			t.Errorf("engine counters diverged:\n got  %+v\n want %+v", g, w)
+		}
+	}
+}
+
+// TestEngineDifferential is the engine's randomized property test:
+// seeded (profile, program, nodes, cores, frequency, seed) configurations
+// must give bit-identical results whether or not the run records its
+// phase trace and engine counters (instrumentation never feeds back), and
+// an instrumented rerun must reproduce the trace and every counter. The
+// seven goldens pin the values themselves; this test covers the rest of
+// the configuration space. The generator is seeded, so failures
+// reproduce.
 func TestEngineDifferential(t *testing.T) {
 	profs := []*machine.Profile{machine.XeonE5(), machine.ARMCortexA9(), xeonCrossbar()}
 	specs := append(workload.Extended(), imbalancedSpec())
@@ -38,59 +85,25 @@ func TestEngineDifferential(t *testing.T) {
 			Class: workload.ClassTest,
 			Cfg:   machine.Config{Nodes: n, Cores: c, Freq: f},
 			Seed:  rnd.Int63(),
-			Trace: true, Metrics: true,
 		}
 		name := fmt.Sprintf("%02d-%s-%s-%dx%d-%.1fGHz", i, prof.Name, spec.Name, n, c, f/1e9)
 		t.Run(name, func(t *testing.T) {
-			gor := req
-			gor.Engine = EngineGoroutine
-			resG, err := Run(gor)
+			bare, err := Run(req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			seq := req
-			seq.Engine = EngineSequential
-			resS, err := Run(seq)
+			inst := req
+			inst.Trace, inst.Metrics = true, true
+			first, err := Run(inst)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if resS.Time != resG.Time {
-				t.Errorf("Time diverged: %x vs %x", resS.Time, resG.Time)
+			again, err := Run(inst)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if resS.Energy != resG.Energy {
-				t.Errorf("Energy diverged: %+v vs %+v", resS.Energy, resG.Energy)
-			}
-			if resS.MeasuredEnergy != resG.MeasuredEnergy || resS.MeasuredUCR != resG.MeasuredUCR {
-				t.Errorf("measured energy diverged: (%x,%x) vs (%x,%x)",
-					resS.MeasuredEnergy, resS.MeasuredUCR, resG.MeasuredEnergy, resG.MeasuredUCR)
-			}
-			if resS.Comm != resG.Comm {
-				t.Errorf("communication profile diverged:\n got  %+v\n want %+v", resS.Comm, resG.Comm)
-			}
-			if resS.Totals != resG.Totals || resS.MemWait != resG.MemWait {
-				t.Errorf("counter totals diverged:\n got  %+v mem %x\n want %+v mem %x",
-					resS.Totals, resS.MemWait, resG.Totals, resG.MemWait)
-			}
-			if resS.Engine.Events != resG.Engine.Events || resS.Engine.Procs != resG.Engine.Procs {
-				t.Errorf("engine stats diverged: %+v vs %+v", resS.Engine, resG.Engine)
-			}
-			if len(resS.Trace) != len(resG.Trace) {
-				t.Fatalf("trace lengths diverged: %d vs %d", len(resS.Trace), len(resG.Trace))
-			}
-			for j := range resG.Trace {
-				if resS.Trace[j] != resG.Trace[j] {
-					t.Fatalf("trace event %d diverged:\n got  %+v\n want %+v",
-						j, resS.Trace[j], resG.Trace[j])
-				}
-			}
-			mg, ms := resG.Metrics.Engine, resS.Metrics.Engine
-			if ms.Events != mg.Events || ms.Lookaheads != mg.Lookaheads ||
-				ms.Regions != mg.Regions || ms.Messages != mg.Messages ||
-				ms.PoolHits != mg.PoolHits || ms.PoolSpawns != mg.PoolSpawns ||
-				ms.HeapHighWater != mg.HeapHighWater || ms.MsgBytes != mg.MsgBytes ||
-				ms.SelfDispatches != mg.SelfDispatches {
-				t.Errorf("engine counters diverged:\n got  %+v\n want %+v", ms, mg)
-			}
+			assertSameRun(t, first, bare)
+			assertSameRun(t, again, first)
 		})
 	}
 }

@@ -5,17 +5,22 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
-	"hybridperf/internal/des"
 	"hybridperf/internal/machine"
-	"hybridperf/internal/workload"
 )
 
+// TestValidateEngine: the legacy engine selector accepts only the empty
+// string and the sequential engine; the removed goroutine engine gets an
+// error that says so.
 func TestValidateEngine(t *testing.T) {
-	for _, ok := range []string{"", EngineGoroutine, EngineSequential} {
+	for _, ok := range []string{"", EngineName} {
 		if err := ValidateEngine(ok); err != nil {
 			t.Errorf("ValidateEngine(%q) = %v, want nil", ok, err)
 		}
+	}
+	if err := ValidateEngine("goroutine"); err == nil || !strings.Contains(err.Error(), "removed") {
+		t.Errorf(`ValidateEngine("goroutine") = %v, want an error naming the removal`, err)
 	}
 	for _, bad := range []string{"parallel", "Goroutine", "sequential "} {
 		if err := ValidateEngine(bad); err == nil {
@@ -24,95 +29,46 @@ func TestValidateEngine(t *testing.T) {
 	}
 }
 
-func TestDefaultEngineFromEnvironment(t *testing.T) {
-	t.Setenv(EngineEnv, "")
-	if got := DefaultEngine(); got != EngineGoroutine {
-		t.Fatalf("DefaultEngine() = %q with no env, want %q", got, EngineGoroutine)
-	}
-	t.Setenv(EngineEnv, EngineSequential)
-	if got := DefaultEngine(); got != EngineSequential {
-		t.Fatalf("DefaultEngine() = %q, want %q", got, EngineSequential)
-	}
-	// DefaultEngine itself falls back on garbage; Run surfaces the error.
-	t.Setenv(EngineEnv, "warp-drive")
-	if got := DefaultEngine(); got != EngineGoroutine {
-		t.Fatalf("DefaultEngine() = %q with malformed env, want fallback %q", got, EngineGoroutine)
-	}
-	req := xeonReq(machine.Config{Nodes: 1, Cores: 1, Freq: 1.8e9})
-	if _, err := Run(req); err == nil || !strings.Contains(err.Error(), "HYBRIDPERF_ENGINE") {
-		t.Fatalf("Run() = %v under malformed $%s, want a naming error", err, EngineEnv)
-	}
-}
-
-func TestRunRejectsUnknownEngine(t *testing.T) {
-	req := xeonReq(machine.Config{Nodes: 1, Cores: 1, Freq: 1.8e9})
-	req.Engine = "warp-drive"
-	if _, err := Run(req); err == nil || !strings.Contains(err.Error(), "warp-drive") {
-		t.Fatalf("Run() = %v, want unknown-engine error", err)
-	}
-}
-
-// TestResultReportsEngine: the engine that actually ran is stamped on the
-// result — explicitly requested or resolved from the environment.
+// TestResultReportsEngine: the kernel's cost of producing a run is
+// stamped on the result.
 func TestResultReportsEngine(t *testing.T) {
-	req := xeonReq(machine.Config{Nodes: 2, Cores: 2, Freq: 1.8e9})
-	for _, engine := range Engines() {
-		r := req
-		r.Engine = engine
-		res, err := Run(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Engine.Engine != engine {
-			t.Fatalf("Result.Engine.Engine = %q, want %q", res.Engine.Engine, engine)
-		}
-		if res.Engine.Events == 0 || res.Engine.Procs == 0 {
-			t.Fatalf("%s engine reported empty stats: %+v", engine, res.Engine)
-		}
-	}
-	t.Setenv(EngineEnv, EngineSequential)
-	res, err := Run(req)
+	res, err := Run(xeonReq(machine.Config{Nodes: 2, Cores: 2, Freq: 1.8e9}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Engine.Engine != EngineSequential {
-		t.Fatalf("env default not honoured: ran %q, want %q", res.Engine.Engine, EngineSequential)
+	if res.Engine.Events == 0 || res.Engine.Procs < 2 {
+		t.Fatalf("engine reported empty stats: %+v", res.Engine)
 	}
 }
 
-// TestSequentialRunPreCancelledContext: the upfront cancellation check
-// holds on the sequential engine too.
+// TestSequentialRunPreCancelledContext: a request whose deadline has
+// already passed fails upfront with the deadline error.
 func TestSequentialRunPreCancelledContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
 	req := xeonReq(machine.Config{Nodes: 2, Cores: 2, Freq: 1.8e9})
 	req.Ctx = ctx
-	req.Engine = EngineSequential
-	if _, err := Run(req); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run() = %v, want context.Canceled", err)
+	if _, err := Run(req); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Run() = %v, want context.DeadlineExceeded", err)
 	}
 }
 
-// TestRunSpecSeamRequiresGoroutine: the runSpec test seam is a goroutine
-// body, so explicitly pairing it with the sequential engine is an error
-// (an empty Engine silently keeps the seam on the goroutine engine).
-func TestRunSpecSeamRequiresGoroutine(t *testing.T) {
-	req := xeonReq(machine.Config{Nodes: 1, Cores: 1, Freq: 1.8e9})
-	req.runSpec = func(p *des.Proc, env *workload.Env) error {
-		p.Advance(1e-6)
-		return nil
-	}
-	req.Engine = EngineSequential
-	if _, err := Run(req); err == nil || !strings.Contains(err.Error(), "goroutine engine") {
-		t.Fatalf("Run() = %v, want runSpec/engine mismatch error", err)
-	}
-	t.Setenv(EngineEnv, EngineSequential) // env default must not break the seam
-	req.Engine = ""
-	res, err := Run(req)
+// TestDefaultEngineFromEnvironment: $HYBRIDPERF_ENGINE, which once chose
+// the default engine, selects nothing any more — a deployment that still
+// sets it, to either former engine name or to garbage, runs the one
+// engine with identical results instead of failing.
+func TestDefaultEngineFromEnvironment(t *testing.T) {
+	req := xeonReq(machine.Config{Nodes: 2, Cores: 2, Freq: 1.8e9})
+	want, err := Run(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Engine.Engine != EngineGoroutine {
-		t.Fatalf("seam ran on %q, want forced %q", res.Engine.Engine, EngineGoroutine)
+	for _, v := range []string{"goroutine", "sequential", "warp-drive"} {
+		t.Setenv("HYBRIDPERF_ENGINE", v)
+		got, err := Run(req)
+		if err != nil {
+			t.Fatalf("HYBRIDPERF_ENGINE=%s: %v", v, err)
+		}
+		assertSameRun(t, got, want)
 	}
 }

@@ -35,21 +35,12 @@ type Request struct {
 	Cfg   machine.Config
 	Seed  int64
 
-	// Engine selects the DES process engine: EngineGoroutine (the
-	// reference: one goroutine per simulated process) or EngineSequential
-	// (continuation machines on one scheduler loop — no goroutines, no
-	// channel handoffs, typically >2x faster). Empty resolves via
-	// $HYBRIDPERF_ENGINE, then to the goroutine engine. Both engines
-	// produce bit-for-bit identical results.
-	Engine string
-
 	// Ctx, when non-nil, cancels the run cooperatively: the simulation
 	// kernel polls the context every few thousand dispatch steps, so a
 	// cancelled context stops the run mid-simulation with an error
-	// wrapping ctx.Err() (errors.Is works) and the deferred Shutdown
-	// reaps every pooled goroutine. A nil Ctx runs to completion. An
-	// uncancelled context never perturbs results: runs stay bit-identical
-	// with or without one attached.
+	// wrapping ctx.Err() (errors.Is works). A nil Ctx runs to completion.
+	// An uncancelled context never perturbs results: runs stay
+	// bit-identical with or without one attached.
 	Ctx context.Context
 
 	// NoJitter disables OS-noise perturbation (micro-benchmark mode).
@@ -97,14 +88,16 @@ type Request struct {
 	// into the simulation, so results are bit-identical with or without it.
 	PhaseSink func(label string, events []trace.Event)
 
-	// runSpec, when non-nil, replaces req.Spec.Run as the per-rank entry
-	// point — a test seam for injecting per-rank failures, which the
-	// built-in specs cannot produce after upfront validation. The seam is
-	// a goroutine-style body and cannot be compiled to a continuation, so
-	// requests carrying it always run on the goroutine engine (an explicit
-	// Engine: EngineSequential is rejected).
-	runSpec func(p *des.Proc, env *workload.Env) error
+	// rankMachine, when non-nil, replaces req.Spec.Machine as the per-rank
+	// entry point — a test seam for injecting per-rank failures (see
+	// rankFailer), which the built-in specs cannot produce after upfront
+	// validation.
+	rankMachine func(env *workload.Env) (des.Machine, error)
 }
+
+// rankFailer is implemented by rank Machines that can fail mid-run. Run
+// reports every failing rank, in rank order, joined with errors.Join.
+type rankFailer interface{ Err() error }
 
 // Result is the measurement outcome of one run.
 type Result struct {
@@ -135,17 +128,32 @@ type Result struct {
 }
 
 // EngineStats reports what the simulation engine spent producing a
-// measurement: the engine mode, dispatched events and logical processes
-// created. With the persistent worker pools, Procs stays near
-// nodes x cores instead of growing with the event count. Procs counts
-// goroutines only on the goroutine engine; on the sequential engine the
-// same set of processes exists as continuation records and no goroutines
-// are created — consumers must key any goroutine-specific interpretation
-// on Engine.
+// measurement: dispatched events and logical processes created. With the
+// pooled workers and couriers, Procs stays near nodes x cores instead of
+// growing with the event count; the processes are continuation records,
+// not goroutines.
 type EngineStats struct {
-	Engine string // engine mode that produced the run ("goroutine" or "sequential")
 	Events uint64 // events dispatched by the kernel
 	Procs  int    // logical simulated processes (ranks, workers, couriers)
+}
+
+// EngineName names the one simulation engine behind Run: the sequential
+// DES, whose simulated processes are continuation machines dispatched by
+// one scheduler loop.
+const EngineName = "sequential"
+
+// ValidateEngine checks a client's optional engine selector, kept so
+// requests written for the two-engine API still parse: empty and
+// EngineName are accepted, and "goroutine" is rejected with an error
+// naming its removal.
+func ValidateEngine(name string) error {
+	switch name {
+	case "", EngineName:
+		return nil
+	case "goroutine":
+		return fmt.Errorf("engine %q has been removed: %q is the only engine (omit the field)", name, EngineName)
+	}
+	return fmt.Errorf("unknown engine %q: %q is the only engine (omit the field)", name, EngineName)
 }
 
 // rankNames caches process labels for the usual world sizes so sweeps
@@ -188,27 +196,9 @@ func Run(req Request) (*Result, error) {
 		}
 	}
 
-	engine, err := resolveEngine(req.Engine)
-	if err != nil {
-		return nil, err
-	}
-	if req.runSpec != nil {
-		if req.Engine == EngineSequential {
-			return nil, fmt.Errorf("exec: the runSpec test seam requires the goroutine engine")
-		}
-		engine = EngineGoroutine
-	}
-
 	root := rng.New(req.Seed)
-	var k *des.Kernel
-	if engine == EngineSequential {
-		k = des.NewSequentialKernel()
-	} else {
-		k = des.NewKernel()
-	}
+	k := des.NewSequentialKernel()
 	k.SetContext(req.Ctx)
-	// Reap pooled worker/courier goroutines once results are read.
-	defer k.Shutdown()
 	sw := simnet.New(k, req.Prof, req.Cfg.Nodes)
 
 	nodes := make([]*node.Node, req.Cfg.Nodes)
@@ -239,17 +229,12 @@ func Run(req Request) (*Result, error) {
 		k.SetMetrics(mx)
 	}
 
-	runSpec := req.Spec.Run
-	if req.runSpec != nil {
-		runSpec = req.runSpec
+	newRank := req.Spec.Machine
+	if req.rankMachine != nil {
+		newRank = req.rankMachine
 	}
-	// Rank failures are collected, not first-error-wins: a multi-rank
-	// failure is reported in full, one error per failing rank in rank
-	// completion order, aggregated with errors.Join below. Appends are
-	// safe without locking — the kernel runs exactly one process at a
-	// time and synchronises handoffs through channels.
-	var rankErrs []error
-	for i := 0; i < req.Cfg.Nodes; i++ {
+	ranks := make([]des.Machine, req.Cfg.Nodes)
+	for i := range ranks {
 		env := &workload.Env{
 			Rank:  world.Rank(i),
 			Team:  omp.NewTeam(k, nodes[i]),
@@ -258,22 +243,23 @@ func Run(req Request) (*Result, error) {
 		if req.Governor != nil {
 			env.Governor = req.Governor(i)
 		}
-		if engine == EngineSequential {
-			m, err := req.Spec.Machine(env)
-			if err != nil {
-				return nil, err
-			}
-			k.SpawnSeq(rankName(i), m)
-			continue
+		m, err := newRank(env)
+		if err != nil {
+			return nil, err
 		}
-		k.Spawn(rankName(i), func(p *des.Proc) {
-			if err := runSpec(p, env); err != nil {
-				rankErrs = append(rankErrs, fmt.Errorf("%s: %w", p.Name(), err))
-			}
-		})
+		ranks[i] = m
+		k.SpawnSeq(rankName(i), m)
 	}
 	if err := k.Run(math.Inf(1)); err != nil {
 		return nil, fmt.Errorf("exec: %s on %v: %w", req.Spec.Name, req.Cfg, err)
+	}
+	// Rank failures are collected, not first-error-wins: a multi-rank
+	// failure is reported in full, one error per failing rank.
+	var rankErrs []error
+	for i, m := range ranks {
+		if f, ok := m.(rankFailer); ok && f.Err() != nil {
+			rankErrs = append(rankErrs, fmt.Errorf("%s: %w", rankName(i), f.Err()))
+		}
 	}
 	if err := errors.Join(rankErrs...); err != nil {
 		return nil, err
@@ -286,7 +272,7 @@ func Run(req Request) (*Result, error) {
 		Time:    k.Now(),
 		Comm:    world.Profile(),
 		MemWait: nodes[0].MemStats(),
-		Engine:  EngineStats{Engine: engine, Events: k.Events(), Procs: k.Procs()},
+		Engine:  EngineStats{Events: k.Events(), Procs: k.Procs()},
 	}
 	if req.Trace {
 		res.Trace = rec.Events()
@@ -330,13 +316,7 @@ func Run(req Request) (*Result, error) {
 		}
 	}
 	if req.Observe != nil {
-		label := fmt.Sprintf("run %s %v", req.Spec.Name, req.Cfg)
-		if engine != EngineGoroutine {
-			// Keep span labels honest about which engine produced the run;
-			// the default engine stays unannotated for label stability.
-			label += " engine=" + engine
-		}
-		req.Observe(label, wall, time.Now())
+		req.Observe(fmt.Sprintf("run %s %v", req.Spec.Name, req.Cfg), wall, time.Now())
 	}
 	return res, nil
 }

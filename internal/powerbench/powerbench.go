@@ -50,6 +50,7 @@ func meterRead(energy, duration float64, prof *machine.Profile, noise *rng.Strea
 // runIdle measures the idle node power.
 func runIdle(prof *machine.Profile, noise *rng.Stream) (float64, error) {
 	k := des.NewKernel()
+	defer k.Shutdown() // reap the pooled worker and courier goroutines
 	nd := node.New(k, prof, 0, 1, prof.FMax(), nil)
 	k.Spawn("idle", func(p *des.Proc) { p.Advance(benchDuration) })
 	if err := k.Run(math.Inf(1)); err != nil {
@@ -61,6 +62,7 @@ func runIdle(prof *machine.Profile, noise *rng.Stream) (float64, error) {
 // runSpin measures node power with c cores spinning pure compute at f.
 func runSpin(prof *machine.Profile, c int, f float64, noise *rng.Stream) (float64, error) {
 	k := des.NewKernel()
+	defer k.Shutdown() // reap the pooled worker and courier goroutines
 	nd := node.New(k, prof, 0, c, f, nil)
 	chunk := 0.25 * f / prof.CyclesPerWork // work units per 0.25 s slice
 	for core := 0; core < c; core++ {
@@ -82,6 +84,7 @@ func runSpin(prof *machine.Profile, c int, f float64, noise *rng.Stream) (float6
 // memory (a pointer-chase analogue) at f.
 func runStall(prof *machine.Profile, c int, f float64, noise *rng.Stream) (float64, error) {
 	k := des.NewKernel()
+	defer k.Shutdown() // reap the pooled worker and courier goroutines
 	nd := node.New(k, prof, 0, c, f, nil)
 	burst := prof.MemBandwidth * 0.25 / float64(c) // ~0.25 s per round at saturation
 	for core := 0; core < c; core++ {
@@ -102,6 +105,7 @@ func runStall(prof *machine.Profile, c int, f float64, noise *rng.Stream) (float
 // runNet measures the sender-node power of a saturated outbound stream.
 func runNet(prof *machine.Profile, noise *rng.Stream) (float64, error) {
 	k := des.NewKernel()
+	defer k.Shutdown() // reap the pooled worker and courier goroutines
 	sw := simnet.New(k, prof, 2)
 	nodes := []*node.Node{
 		node.New(k, prof, 0, 1, prof.FMax(), nil),

@@ -2,7 +2,9 @@ package powerbench
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"hybridperf/internal/machine"
 )
@@ -113,5 +115,25 @@ func TestCharacterizeInvalidProfile(t *testing.T) {
 	bad.CoresPerNode = 0
 	if _, err := Characterize(bad, 1); err == nil {
 		t.Fatal("invalid profile accepted")
+	}
+}
+
+// TestCharacterizeReapsGoroutines: the simulated processes of a
+// characterisation — pooled couriers and workers included — must not
+// outlive it.
+func TestCharacterizeReapsGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 2; i++ {
+		if _, err := Characterize(machine.XeonE5(), 42); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A reaped goroutine may still be unwinding when Shutdown returns.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after two characterisations, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -14,8 +14,8 @@ import (
 
 // POST /v1/advise: the online DVFS advisory endpoint. For one (system,
 // program, nodes, cores) it picks the static Pareto point over the
-// frequency axis, replays the DES once per governor policy from that
-// point, and returns each policy's frequency schedule and its
+// frequency axis, replays the DES once per runtime governor policy from
+// that point, and returns each policy's frequency schedule and its
 // energy/makespan delta against the ungoverned static run — plus the
 // recommended policy. The evaluation itself lives in
 // characterize.Advise; this file is only the wire layer: decode,
@@ -36,7 +36,7 @@ type adviseRequest struct {
 	// phase-predictive governor's budget and the recommendation
 	// cut-off); 0 takes the server default.
 	MaxSlowdownPct float64 `json:"max_slowdown_pct"`
-	Engine         string  `json:"engine"` // "" = server default
+	Engine         string  `json:"engine"` // optional; only "sequential"
 }
 
 // canonPolicies validates the requested policy names and returns the
@@ -79,11 +79,9 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	if rt != nil {
 		rt.AddSpan("handler", "decode", tDecode, time.Now())
 	}
-	engine, ok := s.engineMode(w, req.Engine)
-	if !ok {
+	if !validEngine(w, req.Engine) {
 		return
 	}
-	s.mByEngine.With("/v1/advise", engine).Inc()
 	if s.forwardIfRemote(w, r, body, req.System, req.Program) {
 		return
 	}
@@ -137,14 +135,13 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		slog.String("system", req.System),
 		slog.String("program", req.Program),
 		slog.String("class", class),
-		slog.String("engine", engine),
 		slog.Int("nodes", nodes),
 		slog.Int("cores", cores))
 
 	key := adviseCacheKey(req.System, req.Program, class, nodes, cores, policies, slowdown)
-	s.respondCached(w, r, "/v1/advise", engine, key, func() (*cachedResponse, error) {
-		// An advisory evaluation runs the DES once per policy plus the
-		// baseline — always the heavy path, so it always counts against
+	s.respondCached(w, r, "/v1/advise", key, func() (*cachedResponse, error) {
+		// An advisory evaluation runs the DES once per runtime policy plus
+		// the baseline — always the heavy path, so it always counts against
 		// the campaign budget, exactly like a sweep. The flight leader's
 		// slot covers a cold characterisation too (model is told the
 		// request is already admitted).
@@ -153,7 +150,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 			return nil, fmt.Errorf("advise: %w", errSaturated)
 		}
 		defer release()
-		e, err := s.model(r.Context(), modelKey{system: req.System, program: req.Program}, engine, true)
+		e, err := s.model(r.Context(), modelKey{system: req.System, program: req.Program}, true)
 		if err != nil {
 			return nil, err
 		}
@@ -166,9 +163,8 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 			MaxSlowdown:   slowdown,
 			Seed:          s.cfg.Seed,
 			Workers:       s.cfg.Workers,
-			Engine:        engine,
 			Ctx:           r.Context(),
-			SharedMetrics: s.engines[engine],
+			SharedMetrics: s.engine,
 			Observe:       s.spans.Observer("exec"),
 		})
 		if err != nil {

@@ -205,9 +205,9 @@ func TestAdvisePolicySubset(t *testing.T) {
 	}
 }
 
-// TestAdviseEngineSharesCacheEntry: engine is excluded from the cache key
-// — both engines are bit-identical by construction — so a
-// sequential-engine request replays a goroutine-engine entry.
+// TestAdviseEngineSharesCacheEntry: the optional engine field is not part
+// of the cache key, so a request naming the sequential engine replays the
+// entry of one that omits the field.
 func TestAdviseEngineSharesCacheEntry(t *testing.T) {
 	_, ts := newTestServer(t)
 	_, raw := postJSON(t, ts.URL+"/v1/advise", adviseBody)
@@ -217,7 +217,7 @@ func TestAdviseEngineSharesCacheEntry(t *testing.T) {
 		t.Errorf("sequential-engine advise missed the cache: %q", got)
 	}
 	if !bytes.Equal(raw, raw2) {
-		t.Error("advise responses differ across engines")
+		t.Error("advise responses differ with and without the engine field")
 	}
 }
 

@@ -3,7 +3,7 @@ package telemetry
 // Per-request cost attribution: every model-serving response reports how
 // much simulated work it carried — prediction count, simulated seconds,
 // predicted energy — as response headers, access-log attributes, and
-// per-(route, engine) counter series. The numbers are computed once when
+// per-route counter series. The numbers are computed once when
 // a response body is built and stored alongside it (pre-formatted), so
 // cache hits repeat the attribution of the response they replay without
 // re-deriving or re-formatting anything.
@@ -58,7 +58,7 @@ func makeAttribution(preds int, simSeconds, energyJ float64) attribution {
 	}
 }
 
-// attribSeries is the pre-resolved counter triple for one (route, engine).
+// attribSeries is the pre-resolved counter triple for one route.
 type attribSeries struct {
 	preds  *Counter
 	simS   *FloatCounter
@@ -68,7 +68,7 @@ type attribSeries struct {
 // applyAttribution stamps one response's cost summary onto the response
 // headers, the access-log line, and the aggregate series. A zero-value
 // attribution (an error path that never built a body) is a no-op.
-func (s *Server) applyAttribution(w http.ResponseWriter, r *http.Request, route, engine string, a attribution) {
+func (s *Server) applyAttribution(w http.ResponseWriter, r *http.Request, route string, a attribution) {
 	if a.predsStr == "" {
 		return
 	}
@@ -83,7 +83,7 @@ func (s *Server) applyAttribution(w http.ResponseWriter, r *http.Request, route,
 		ann.attr = a
 		ann.mu.Unlock()
 	}
-	if set, ok := s.attrib[route][engine]; ok {
+	if set, ok := s.attrib[route]; ok {
 		set.preds.Add(uint64(a.preds))
 		set.simS.Add(a.simSeconds)
 		set.energy.Add(a.energyJ)

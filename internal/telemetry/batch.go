@@ -42,12 +42,11 @@ type batchTuple struct {
 }
 
 // batchRequest is the /v1/batch body: many tuples, one class, vectorised
-// through the sweep engine. Workers and engine tune how the answer is
-// computed, never what it is, so they are excluded from the response
-// cache key.
+// through the sweep engine. Workers tune how the answer is computed,
+// never what it is, so they are excluded from the response cache key.
 type batchRequest struct {
 	Class   string       `json:"class"`
-	Engine  string       `json:"engine"`  // "" = server default
+	Engine  string       `json:"engine"`  // optional; only "sequential"
 	Workers int          `json:"workers"` // 0 = server default
 	Tuples  []batchTuple `json:"tuples"`
 }
@@ -88,16 +87,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if s.batchMemo != nil {
 		if m, ok := s.batchMemo.get(body); ok {
 			if resp, hit := s.respCache.peek(m.key); hit {
-				s.mByEngine.With("/v1/batch", m.engine).Inc()
 				annotate(r.Context(),
 					slog.String("class", m.class),
-					slog.String("engine", m.engine),
 					slog.Int("tuples", m.tuples),
 					slog.Int("unique", m.unique))
 				if rt != nil {
 					rt.AddSpan("handler", "cache-lookup", tDecode, time.Now())
 				}
-				s.writeCached(w, r, "/v1/batch", m.engine, resp, cacheHit)
+				s.writeCached(w, r, "/v1/batch", resp, cacheHit)
 				return
 			}
 		}
@@ -110,11 +107,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if rt != nil {
 		rt.AddSpan("handler", "decode", tDecode, time.Now())
 	}
-	engine, ok := s.engineMode(w, req.Engine)
-	if !ok {
+	if !validEngine(w, req.Engine) {
 		return
 	}
-	s.mByEngine.With("/v1/batch", engine).Inc()
 	if len(req.Tuples) == 0 {
 		httpError(w, http.StatusBadRequest, "batch carries no tuples")
 		return
@@ -187,7 +182,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	annotate(r.Context(),
 		slog.String("class", class),
-		slog.String("engine", engine),
 		slog.Int("tuples", len(req.Tuples)),
 		slog.Int("unique", len(canon)))
 
@@ -195,20 +189,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if s.batchMemo != nil {
 		s.batchMemo.put(body, memoEntry{
 			key:    key,
-			engine: engine,
 			class:  class,
 			tuples: len(req.Tuples),
 			unique: len(canon),
 		})
 	}
-	s.respondCached(w, r, "/v1/batch", engine, key, func() (*cachedResponse, error) {
+	s.respondCached(w, r, "/v1/batch", key, func() (*cachedResponse, error) {
 		release, ok := s.acquire()
 		if !ok {
 			return nil, fmt.Errorf("batch: %w", errSaturated)
 		}
 		defer release()
 		t0 := time.Now()
-		results, groups, err := s.evaluateBatch(r, canon, iters, engine, workers)
+		results, groups, err := s.evaluateBatch(r, canon, iters, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -230,7 +223,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // EvaluateParallelInto per group over the shared pooled buffers. The
 // caller already holds an admission slot, so cold characterisations
 // triggered here don't claim a second one.
-func (s *Server) evaluateBatch(r *http.Request, canon []canonTuple, iters map[string]int, engine string, workers int) ([]batchResultJSON, int, error) {
+func (s *Server) evaluateBatch(r *http.Request, canon []canonTuple, iters map[string]int, workers int) ([]batchResultJSON, int, error) {
 	cfgsPtr := cfgSlicePool.Get().(*[]machine.Config)
 	ptsPtr := ptsSlicePool.Get().(*[]pareto.Point)
 	defer cfgSlicePool.Put(cfgsPtr)
@@ -253,7 +246,7 @@ func (s *Server) evaluateBatch(r *http.Request, canon []canonTuple, iters map[st
 			hi++
 		}
 		groups++
-		e, err := s.model(r.Context(), modelKey{system: canon[lo].system, program: canon[lo].program}, engine, true)
+		e, err := s.model(r.Context(), modelKey{system: canon[lo].system, program: canon[lo].program}, true)
 		if err != nil {
 			return nil, 0, err
 		}

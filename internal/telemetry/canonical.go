@@ -16,9 +16,8 @@ import (
 // by decoding), explicitly-spelled defaults (class "" vs "A", freq_ghz 0
 // vs f_max, max_nodes 0 vs the testbed size), duplicate and reordered
 // batch tuples. Knobs that change only how the answer is computed — never
-// what it is — are excluded: workers (wall-clock only) and engine (both
-// engines are bit-identical by construction), so a sequential-engine
-// request happily hits a goroutine-engine entry.
+// what it is — are excluded: workers (wall-clock only), and the optional
+// engine field, which names the one engine or is rejected.
 //
 // The unit separator (0x1f) joins fields; it cannot appear in the
 // validated system/program/class names the keys carry.
@@ -40,9 +39,9 @@ func sweepCacheKey(system, program, class string, maxNodes int, pow2 bool, deadl
 // adviseCacheKey canonicalises a /v1/advise request. Callers pass
 // resolved values: class defaulted, shape validated against the profile,
 // policies canonicalised (suite order, deduplicated) and the makespan
-// tolerance resolved to its fraction. Engine and workers are excluded
-// for the same reason they are everywhere else: the advice is
-// bit-identical across engines and worker counts.
+// tolerance resolved to its fraction. Workers are excluded for the same
+// reason they are everywhere else: the advice is bit-identical across
+// worker counts.
 func adviseCacheKey(system, program, class string, nodes, cores int, policies []string, maxSlowdown float64) string {
 	return strings.Join([]string{
 		"advise", system, program, class,

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -12,9 +11,10 @@ import (
 	"hybridperf/internal/exec"
 )
 
-// TestPredictEngineField: a per-request engine selects the simulation
-// engine for the cold characterisation and is attributed on the request
-// counter; an unknown engine is a structured 400 naming the valid names.
+// TestPredictEngineField: "engine":"sequential" is accepted and runs the
+// cold characterisation on the one engine, feeding the shared counters;
+// an unknown engine is a structured 400 naming the bad and the valid
+// engine and is not served.
 func TestPredictEngineField(t *testing.T) {
 	s, ts := newTestServer(t)
 	resp, raw := postJSON(t, ts.URL+"/v1/predict",
@@ -22,11 +22,8 @@ func TestPredictEngineField(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sequential predict status %d: %s", resp.StatusCode, raw)
 	}
-	if snap := s.EngineFor(exec.EngineSequential).Snapshot(); snap.Events == 0 {
-		t.Error("sequential engine counters untouched after a sequential-engine characterisation")
-	}
-	if snap := s.EngineFor(exec.EngineSequential).Snapshot(); snap.Handoffs != 0 {
-		t.Errorf("sequential engine reported %d goroutine handoffs", snap.Handoffs)
+	if snap := s.Engine().Snapshot(); snap.Events == 0 || snap.Handoffs != 0 {
+		t.Errorf("engine counters = %+v, want sequential activity (events > 0, no handoffs)", snap)
 	}
 
 	resp, raw = postJSON(t, ts.URL+"/v1/predict",
@@ -36,7 +33,7 @@ func TestPredictEngineField(t *testing.T) {
 	}
 	msg, status := errorEnvelope(t, resp, raw)
 	if status != http.StatusBadRequest || !strings.Contains(msg, "warp-drive") ||
-		!strings.Contains(msg, exec.EngineSequential) {
+		!strings.Contains(msg, exec.EngineName) {
 		t.Errorf("error envelope (%d, %q) does not name the bad and valid engines", status, msg)
 	}
 
@@ -50,11 +47,11 @@ func TestPredictEngineField(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, samples := parseExposition(t, string(text))
-	if got := samples[`hybridperf_requests_by_engine_total{route="/v1/predict",engine="sequential"}`]; got != "1" {
-		t.Errorf("sequential request counter = %q, want 1 (the rejected request must not count)", got)
+	if got := samples[`hybridperf_predictions_served_total{route="/v1/predict"}`]; got != "1" {
+		t.Errorf("predictions served = %q, want 1 (the rejected request must not count)", got)
 	}
-	if got := samples[`hybridperf_engine_events_total{engine="sequential"}`]; got == "" || got == "0" {
-		t.Errorf("labelled sequential engine events = %q, want non-zero", got)
+	if got := samples[`hybridperf_engine_events_total`]; got == "" || got == "0" {
+		t.Errorf("engine events = %q, want non-zero", got)
 	}
 }
 
@@ -76,29 +73,26 @@ func TestSweepEngineField(t *testing.T) {
 	}
 }
 
-// TestConfigDefaultEngine: a server configured with a sequential default
-// runs engine-less requests on it and reports it on /v1/systems.
+// TestConfigDefaultEngine: a default-configured server runs engine-less
+// requests on the sequential engine and keeps reporting it on
+// /v1/systems in the fields clients of the two-engine API read.
 func TestConfigDefaultEngine(t *testing.T) {
 	s := NewServer(Config{
-		Workers:       2,
-		Seed:          42,
-		Logger:        slog.New(slog.NewTextHandler(io.Discard, nil)),
-		DefaultEngine: exec.EngineSequential,
+		Workers: 2,
+		Seed:    42,
+		Logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	s.SetReady(true)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	if s.DefaultEngine() != exec.EngineSequential {
-		t.Fatalf("DefaultEngine() = %q, want %q", s.DefaultEngine(), exec.EngineSequential)
-	}
 	resp, raw := postJSON(t, ts.URL+"/v1/predict",
 		`{"system":"xeon","program":"LU","class":"S","nodes":1,"cores":2,"freq_ghz":1.8}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("predict status %d: %s", resp.StatusCode, raw)
 	}
 	if snap := s.Engine().Snapshot(); snap.Events == 0 || snap.Handoffs != 0 {
-		t.Errorf("default-engine counters = %+v, want sequential activity (events > 0, no handoffs)", snap)
+		t.Errorf("engine counters = %+v, want sequential activity (events > 0, no handoffs)", snap)
 	}
 
 	sresp, err := http.Get(ts.URL + "/v1/systems")
@@ -110,24 +104,9 @@ func TestConfigDefaultEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{
-		`"default_engine":"sequential"`,
-		fmt.Sprintf(`"engines":["%s","%s"]`, exec.EngineGoroutine, exec.EngineSequential),
-	} {
+	for _, want := range []string{`"default_engine":"sequential"`, `"engines":["sequential"]`} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/v1/systems response missing %s: %s", want, body)
 		}
 	}
-}
-
-// TestNewServerRejectsUnknownDefaultEngine: a malformed Config.DefaultEngine
-// is a programming error and must fail construction loudly.
-func TestNewServerRejectsUnknownDefaultEngine(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewServer accepted an unknown DefaultEngine")
-		}
-	}()
-	NewServer(Config{DefaultEngine: "warp-drive",
-		Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 }

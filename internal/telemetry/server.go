@@ -64,12 +64,6 @@ type Config struct {
 	// requests that omit max_slowdown_pct, as a fraction (<= 0 means
 	// 0.05). Must be < 1; a larger value panics in NewServer.
 	AdviseMaxSlowdown float64
-	// DefaultEngine is the simulation engine used by requests that omit
-	// the "engine" field (see exec.Engines). Empty resolves through
-	// exec.DefaultEngine ($HYBRIDPERF_ENGINE, then the goroutine
-	// engine); an unknown name panics in NewServer — validate
-	// user-supplied values with exec.ValidateEngine first.
-	DefaultEngine string
 	// ResponseCache, when > 0, enables the /v1/sweep + /v1/batch response
 	// cache with that many entries (LRU) and collapses identical
 	// in-flight requests onto one computation. Zero disables the cache
@@ -105,9 +99,8 @@ type Server struct {
 	cfg         Config
 	log         *slog.Logger
 	reg         *Registry
-	defEngine   string                     // resolved engine for requests that omit one
-	advSlowdown float64                    // resolved default /v1/advise makespan tolerance
-	engines     map[string]*metrics.Engine // shared engine counters per engine mode
+	advSlowdown float64         // resolved default /v1/advise makespan tolerance
+	engine      *metrics.Engine // shared engine counters of every simulation
 	spans       *Spans
 	start       time.Time
 	ready       atomic.Bool
@@ -116,9 +109,9 @@ type Server struct {
 	// GET /debug/trace/{traceid} pull endpoint.
 	traces *TraceStore
 
-	// attrib pre-resolves the per-(route, engine) cost-attribution series
-	// so the serving path records them without a label lookup.
-	attrib map[string]map[string]attribSeries
+	// attrib pre-resolves the per-route cost-attribution series so the
+	// serving path records them without a label lookup.
+	attrib map[string]attribSeries
 
 	mu     sync.Mutex
 	models map[modelKey]*modelEntry
@@ -158,7 +151,6 @@ type Server struct {
 	mChar      *CounterVec
 	mRejected  *CounterVec
 	mCancelled *CounterVec
-	mByEngine  *CounterVec
 
 	// Advisory-plane series, by governor policy.
 	mAdviseEvals *CounterVec
@@ -209,13 +201,6 @@ func NewServer(cfg Config) *Server {
 	if log == nil {
 		log = slog.Default()
 	}
-	defEngine := cfg.DefaultEngine
-	if defEngine == "" {
-		defEngine = exec.DefaultEngine()
-	}
-	if err := exec.ValidateEngine(defEngine); err != nil {
-		panic(fmt.Sprintf("telemetry: Config.DefaultEngine: %v", err))
-	}
 	advSlowdown := cfg.AdviseMaxSlowdown
 	if advSlowdown <= 0 {
 		advSlowdown = 0.05
@@ -223,20 +208,15 @@ func NewServer(cfg Config) *Server {
 	if advSlowdown >= 1 {
 		panic(fmt.Sprintf("telemetry: Config.AdviseMaxSlowdown %g must be in (0,1)", cfg.AdviseMaxSlowdown))
 	}
-	engines := make(map[string]*metrics.Engine, 2)
-	for _, e := range exec.Engines() {
-		engines[e] = metrics.NewEngine()
-	}
 	s := &Server{
-		cfg:       cfg,
-		log:       log,
-		reg:       NewRegistry(),
-		defEngine: defEngine,
-		engines:   engines,
-		spans:     NewSpans(cfg.SpanCapacity),
-		start:     time.Now(),
-		models:    map[modelKey]*modelEntry{},
-		sem:       make(chan struct{}, cfg.MaxCampaigns),
+		cfg:    cfg,
+		log:    log,
+		reg:    NewRegistry(),
+		engine: metrics.NewEngine(),
+		spans:  NewSpans(cfg.SpanCapacity),
+		start:  time.Now(),
+		models: map[modelKey]*modelEntry{},
+		sem:    make(chan struct{}, cfg.MaxCampaigns),
 	}
 	s.advSlowdown = advSlowdown
 	s.mReq = s.reg.Counter("hybridperf_http_requests_total",
@@ -255,38 +235,32 @@ func NewServer(cfg Config) *Server {
 		"Requests shed by admission control, by route and reason.", "route", "reason")
 	s.mCancelled = s.reg.Counter("hybridperf_http_requests_cancelled_total",
 		"Requests whose context ended before completion, by route and reason (disconnect or timeout).", "route", "reason")
-	s.mByEngine = s.reg.Counter("hybridperf_requests_by_engine_total",
-		"Model-serving requests by route and resolved simulation engine.", "route", "engine")
 	s.traces = NewTraceStore(0)
 	// Cost attribution: every model-serving response reports how much
 	// simulated work it carried; these aggregate the same numbers the
-	// response headers expose. Series are pre-resolved here — routes and
-	// engines are both static — so the hot path records them map-lookup
-	// cheap and allocation free.
+	// response headers expose. Series are pre-resolved here — routes are
+	// static — so the hot path records them map-lookup cheap and
+	// allocation free.
 	mPreds := s.reg.Counter("hybridperf_predictions_served_total",
-		"Predictions returned to clients, by route and simulation engine.", "route", "engine")
+		"Predictions returned to clients, by route.", "route")
 	mSimS := s.reg.FloatCounter("hybridperf_simulated_seconds_total",
-		"Predicted application runtime (virtual seconds) summed over all served predictions, by route and engine.", "route", "engine")
+		"Predicted application runtime (virtual seconds) summed over all served predictions, by route.", "route")
 	mEnergy := s.reg.FloatCounter("hybridperf_predicted_energy_joules_total",
-		"Predicted energy (joules) summed over all served predictions, by route and engine.", "route", "engine")
-	s.attrib = make(map[string]map[string]attribSeries, 4)
+		"Predicted energy (joules) summed over all served predictions, by route.", "route")
+	s.attrib = make(map[string]attribSeries, 4)
 	for _, route := range []string{"/v1/predict", "/v1/batch", "/v1/sweep", "/v1/advise"} {
-		byEngine := make(map[string]attribSeries, len(engines))
-		for _, e := range exec.Engines() {
-			byEngine[e] = attribSeries{
-				preds:  mPreds.With(route, e),
-				simS:   mSimS.With(route, e),
-				energy: mEnergy.With(route, e),
-			}
+		s.attrib[route] = attribSeries{
+			preds:  mPreds.With(route),
+			simS:   mSimS.With(route),
+			energy: mEnergy.With(route),
 		}
-		s.attrib[route] = byEngine
 	}
 	// Advisory-plane accounting: per-policy governed evaluations, which
 	// policy the advisor recommended, and the energy each policy would
 	// have saved against the static baseline. Series exist from boot so
 	// scrapes (and the serve-smoke diff) see explicit zeros.
 	s.mAdviseEvals = s.reg.Counter("hybridperf_advise_evaluations_total",
-		"Governed advisory simulations run, by governor policy.", "policy")
+		"Advisory policy evaluations, by governor policy (\"fixed\" is derived from the baseline run, not simulated).", "policy")
 	s.mAdviseRec = s.reg.Counter("hybridperf_advise_recommended_total",
 		"Advisory responses computed, by the policy they recommended.", "policy")
 	s.mAdviseSaved = s.reg.FloatCounter("hybridperf_advise_energy_saved_joules_total",
@@ -348,26 +322,22 @@ func NewServer(cfg Config) *Server {
 		fmt.Fprintf(w, "# HELP hybridperf_uptime_seconds Seconds since the daemon started.\n"+
 			"# TYPE hybridperf_uptime_seconds gauge\nhybridperf_uptime_seconds %s\n",
 			formatFloat(time.Since(s.start).Seconds()))
-		series := make([]EngineSeries, 0, len(engines))
-		for _, e := range exec.Engines() {
-			series = append(series, EngineSeries{Engine: e, Snap: engines[e].Snapshot()})
-		}
-		WriteEngineText(w, series...)
+		WriteEngineText(w, s.engine.Snapshot())
 	})
 	return s
 }
 
 // Warm characterises one (system, program) pair ahead of traffic, so a
 // deployment can flip /readyz only after its hot models are cached. The
-// warm-up runs the exact path traffic takes: the server's default engine
-// feeds that mode's shared counters, and the campaign holds an admission
-// slot — waiting for one rather than shedding, since warm-up has no
-// client to 429 — so a daemon warming while already serving cannot
-// oversubscribe the campaign budget it advertises.
+// warm-up runs the exact path traffic takes: the campaign feeds the shared
+// engine counters and holds an admission slot — waiting for one rather
+// than shedding, since warm-up has no client to 429 — so a daemon warming
+// while already serving cannot oversubscribe the campaign budget it
+// advertises.
 func (s *Server) Warm(system, program string) error {
 	s.sem <- struct{}{}
 	defer func() { <-s.sem }()
-	_, err := s.model(context.Background(), modelKey{system: system, program: program}, s.defEngine, true)
+	_, err := s.model(context.Background(), modelKey{system: system, program: program}, true)
 	return err
 }
 
@@ -377,16 +347,9 @@ func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 // Registry exposes the server's metric registry (tests, extra collectors).
 func (s *Server) Registry() *Registry { return s.reg }
 
-// Engine exposes the shared engine counter set fed by simulations on the
-// server's default engine mode (see EngineFor for a specific mode).
-func (s *Server) Engine() *metrics.Engine { return s.engines[s.defEngine] }
-
-// EngineFor exposes the shared counter set for one engine mode, or nil
-// for an unknown mode.
-func (s *Server) EngineFor(mode string) *metrics.Engine { return s.engines[mode] }
-
-// DefaultEngine reports the engine mode used by requests that omit one.
-func (s *Server) DefaultEngine() string { return s.defEngine }
+// Engine exposes the shared engine counter set fed by every simulation
+// the server runs.
+func (s *Server) Engine() *metrics.Engine { return s.engine }
 
 // Spans exposes the span flight recorder.
 func (s *Server) Spans() *Spans { return s.spans }
@@ -447,16 +410,11 @@ var errSaturated = errors.New("admission slots saturated")
 
 // model returns the cached model for (system, program), characterising it
 // on first use with the server's collectors attached: every simulation
-// feeds the engine-mode's shared counters and the span recorder, and the
+// feeds the shared engine counters and the span recorder, and the
 // campaign logs one line with its engine-event delta. ctx cancels an
 // in-flight characterisation mid-simulation (client disconnect, request
-// timeout).
-//
-// engine selects the simulation engine a cold characterisation runs on.
-// Both engines are bit-for-bit identical, so the cache stays keyed by
-// (system, program) alone — the engine changes which counters accrue,
-// never the model. Concurrent cold requests for one key collapse into a
-// single campaign on the leader's engine.
+// timeout). Concurrent cold requests for one key collapse into a single
+// campaign.
 //
 // Admission: unless the caller is already admitted (Warm runs before
 // traffic; sweep handlers hold a slot for the whole request), the
@@ -474,7 +432,7 @@ var errSaturated = errors.New("admission slots saturated")
 // poisoned for the process lifetime. Concurrent waiters on a failing
 // campaign all observe its error; the first request after eviction
 // retries fresh.
-func (s *Server) model(ctx context.Context, key modelKey, engine string, admitted bool) (*modelEntry, error) {
+func (s *Server) model(ctx context.Context, key modelKey, admitted bool) (*modelEntry, error) {
 	prof, err := machine.ByName(key.system)
 	if err != nil {
 		return nil, err
@@ -521,7 +479,6 @@ func (s *Server) model(ctx context.Context, key modelKey, engine string, admitte
 				return
 			}
 		}
-		eng := s.engines[engine]
 		rt := RequestTraceFrom(ctx)
 		// Only a sampled request asks the campaign to deliver its per-rank
 		// phase timeline: the hook forces the engine to record events, so
@@ -529,16 +486,15 @@ func (s *Server) model(ctx context.Context, key modelKey, engine string, admitte
 		opts := characterize.Options{
 			Seed:          s.cfg.Seed,
 			Workers:       s.cfg.Workers,
-			Engine:        engine,
 			Ctx:           ctx,
-			SharedMetrics: eng,
+			SharedMetrics: s.engine,
 			Observe:       s.spans.Observer("exec"),
 		}
 		if rt != nil {
 			opts.PhaseTrace = rt.AttachPhases
 		}
 		start := time.Now()
-		pre := eng.Snapshot()
+		pre := s.engine.Snapshot()
 		sum, err := characterize.Run(prof, spec, opts)
 		if err != nil {
 			e.err = fmt.Errorf("characterize %s/%s: %w", key.system, key.program, err)
@@ -552,7 +508,7 @@ func (s *Server) model(ctx context.Context, key modelKey, engine string, admitte
 		end := time.Now()
 		s.spans.Observe("model", fmt.Sprintf("characterize %s/%s", key.system, key.program),
 			start, end, nil)
-		delta := eng.Snapshot().Sub(pre)
+		delta := s.engine.Snapshot().Sub(pre)
 		if rt != nil {
 			rt.AddSpan("model", fmt.Sprintf("characterize %s/%s", key.system, key.program), start, end)
 		}
@@ -562,7 +518,6 @@ func (s *Server) model(ctx context.Context, key modelKey, engine string, admitte
 		s.log.LogAttrs(context.Background(), slog.LevelInfo, "characterized",
 			slog.String("system", key.system),
 			slog.String("program", key.program),
-			slog.String("engine", engine),
 			slog.Duration("duration", end.Sub(start)),
 			slog.Uint64("engine_events", delta.Events),
 			slog.Uint64("mpi_messages", delta.Messages))
@@ -723,7 +678,7 @@ func decodeJSONBytes(w http.ResponseWriter, body []byte, v any) bool {
 // (400); a shed campaign is 429 + Retry-After; a cancelled, timed-out or
 // aborted campaign is retryable (503 + Retry-After); a failed
 // characterisation of valid coordinates is ours (500).
-func (s *Server) resolve(w http.ResponseWriter, r *http.Request, system, program, class, engine string, admitted bool) (*modelEntry, workload.Class, int, bool) {
+func (s *Server) resolve(w http.ResponseWriter, r *http.Request, system, program, class string, admitted bool) (*modelEntry, workload.Class, int, bool) {
 	if _, err := machine.ByName(system); err != nil {
 		httpError(w, http.StatusBadRequest, "unknown system %q", system)
 		return nil, "", 0, false
@@ -744,9 +699,8 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request, system, program
 	annotate(r.Context(),
 		slog.String("system", system),
 		slog.String("program", program),
-		slog.String("class", class),
-		slog.String("engine", engine))
-	e, err := s.model(r.Context(), modelKey{system: system, program: program}, engine, admitted)
+		slog.String("class", class))
+	e, err := s.model(r.Context(), modelKey{system: system, program: program}, admitted)
 	if err != nil {
 		if errors.Is(err, errSaturated) {
 			s.reject(w, r.URL.Path)
@@ -761,17 +715,15 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request, system, program
 	return e, workload.Class(class), S, true
 }
 
-// engineMode resolves a request's optional engine field: empty takes the
-// server default, unknown names are the caller's fault (400, structured).
-func (s *Server) engineMode(w http.ResponseWriter, engine string) (string, bool) {
-	if engine == "" {
-		return s.defEngine, true
-	}
+// validEngine checks a request's optional engine field (see
+// exec.ValidateEngine): anything but empty or "sequential" is the
+// caller's fault (400, structured).
+func validEngine(w http.ResponseWriter, engine string) bool {
 	if err := exec.ValidateEngine(engine); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
-		return "", false
+		return false
 	}
-	return engine, true
+	return true
 }
 
 // predictRequest is the /v1/predict body.
@@ -782,7 +734,7 @@ type predictRequest struct {
 	Nodes   int     `json:"nodes"`
 	Cores   int     `json:"cores"`
 	FreqGHz float64 `json:"freq_ghz"`
-	Engine  string  `json:"engine"` // "" = server default
+	Engine  string  `json:"engine"` // optional; only "sequential"
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -802,11 +754,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if rt != nil {
 		rt.AddSpan("handler", "decode", tDecode, time.Now())
 	}
-	engine, ok := s.engineMode(w, req.Engine)
-	if !ok {
+	if !validEngine(w, req.Engine) {
 		return
 	}
-	s.mByEngine.With("/v1/predict", engine).Inc()
 	if s.forwardIfRemote(w, r, body, req.System, req.Program) {
 		return
 	}
@@ -815,7 +765,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// competes for an admission slot (claimed by the campaign leader
 	// inside model, so concurrent cold predicts for one key don't shed
 	// each other).
-	e, class, S, ok := s.resolve(w, r, req.System, req.Program, req.Class, engine, false)
+	e, class, S, ok := s.resolve(w, r, req.System, req.Program, req.Class, false)
 	if !ok {
 		return
 	}
@@ -841,7 +791,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		rt.AddSpan("model", fmt.Sprintf("predict %s/%s", req.System, req.Program), t0, tPred)
 	}
 	pj := toPredictionJSON(pred)
-	s.applyAttribution(w, r, "/v1/predict", engine, makeAttribution(1, pj.TimeS, pj.EnergyJ))
+	s.applyAttribution(w, r, "/v1/predict", makeAttribution(1, pj.TimeS, pj.EnergyJ))
 	endRender := rt.Span("handler", "render")
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(struct {
@@ -863,7 +813,7 @@ type sweepRequest struct {
 	Workers   int     `json:"workers"` // 0 = server default
 	DeadlineS float64 `json:"deadline_s"`
 	BudgetJ   float64 `json:"budget_j"`
-	Engine    string  `json:"engine"` // "" = server default
+	Engine    string  `json:"engine"` // optional; only "sequential"
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -883,11 +833,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if rt != nil {
 		rt.AddSpan("handler", "decode", tDecode, time.Now())
 	}
-	engine, ok := s.engineMode(w, req.Engine)
-	if !ok {
+	if !validEngine(w, req.Engine) {
 		return
 	}
-	s.mByEngine.With("/v1/sweep", engine).Inc()
 	if s.forwardIfRemote(w, r, body, req.System, req.Program) {
 		return
 	}
@@ -933,11 +881,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		slog.String("system", req.System),
 		slog.String("program", req.Program),
 		slog.String("class", class),
-		slog.String("engine", engine),
 		slog.Int("workers", workers))
 
 	key := sweepCacheKey(req.System, req.Program, class, maxNodes, req.Pow2, req.DeadlineS, req.BudgetJ)
-	s.respondCached(w, r, "/v1/sweep", engine, key, func() (*cachedResponse, error) {
+	s.respondCached(w, r, "/v1/sweep", key, func() (*cachedResponse, error) {
 		// Sweeps always count against the campaign budget: even on a warm
 		// model a full-space evaluation is the heavy path. The flight
 		// leader's slot covers the whole computation, including a cold
@@ -948,7 +895,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			return nil, fmt.Errorf("sweep: %w", errSaturated)
 		}
 		defer release()
-		e, err := s.model(r.Context(), modelKey{system: req.System, program: req.Program}, engine, true)
+		e, err := s.model(r.Context(), modelKey{system: req.System, program: req.Program}, true)
 		if err != nil {
 			return nil, err
 		}
@@ -1030,7 +977,7 @@ func buildSweepResponse(system, program, class string, configs int, front, point
 // revalidate with If-None-Match and get a body-less 304.
 func (s *Server) handleSystems(w http.ResponseWriter, r *http.Request) {
 	s.systemsOnce.Do(func() {
-		s.systemsBody = append(mustJSON(systemsDocument(s.defEngine)), '\n')
+		s.systemsBody = append(mustJSON(systemsDocument()), '\n')
 		sum := sha256.Sum256(s.systemsBody)
 		s.systemsETag = `"` + hex.EncodeToString(sum[:8]) + `"`
 	})
@@ -1061,8 +1008,9 @@ func etagMatches(header, etag string) bool {
 	return false
 }
 
-// systemsDocument builds the /v1/systems payload.
-func systemsDocument(defaultEngine string) any {
+// systemsDocument builds the /v1/systems payload. The engines fields
+// predate the single engine and stay for clients that read them.
+func systemsDocument() any {
 	type systemJSON struct {
 		Name         string    `json:"name"`
 		ISA          string    `json:"isa"`
@@ -1103,7 +1051,7 @@ func systemsDocument(defaultEngine string) any {
 		Classes       []string     `json:"classes"`
 		Engines       []string     `json:"engines"`
 		DefaultEngine string       `json:"default_engine"`
-	}{systems, programs, classNames(), exec.Engines(), defaultEngine}
+	}{systems, programs, classNames(), []string{exec.EngineName}, exec.EngineName}
 }
 
 func classNames() []string {

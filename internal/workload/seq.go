@@ -10,11 +10,9 @@ import (
 	"hybridperf/internal/omp"
 )
 
-// This file compiles a Spec into the continuation form the sequential
-// engine runs: runM is Spec.Run as an explicit state machine, bodyM the
-// parallel-region body. Every derivation and every simulation call happens
-// in the same order at the same virtual time as the goroutine form, so
-// programs are bit-for-bit identical on either engine.
+// This file compiles a Spec into the continuation form the DES runs: runM
+// is the hybrid loop of Listing 1 as an explicit state machine, bodyM the
+// parallel-region body.
 
 // runM states: the phases of one iteration of the hybrid loop.
 const (
@@ -39,7 +37,7 @@ type runM struct {
 	spec *Spec
 	env  *Env
 
-	// Per-run structure, derived once (identically to Run).
+	// Per-run structure, derived once.
 	iters        int
 	n            int
 	nd           *node.Node
@@ -79,9 +77,10 @@ type bodyM struct {
 	mem  node.MemOp
 }
 
-// Machine compiles the program into a des.Machine for env's rank on the
-// sequential engine — the continuation counterpart of Run. Errors are
-// structural (unknown class) and detected before simulation starts.
+// Machine compiles the program into a des.Machine for env's rank: the
+// hybrid loop of Listing 1, S iterations of an OpenMP compute phase
+// followed by an MPI communication phase. Errors are structural (unknown
+// class) and detected before simulation starts.
 func (s *Spec) Machine(env *Env) (des.Machine, error) {
 	iters, err := s.Iterations(env.Class)
 	if err != nil {

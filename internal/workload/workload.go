@@ -21,7 +21,6 @@ import (
 	"math"
 	"sort"
 
-	"hybridperf/internal/des"
 	"hybridperf/internal/dvfs"
 	"hybridperf/internal/mpi"
 	"hybridperf/internal/omp"
@@ -229,105 +228,6 @@ type Env struct {
 	// frequency the end-of-run cycle counters are approximate (times are
 	// converted at the final frequency); time and energy stay exact.
 	Governor dvfs.Governor
-}
-
-// Run executes the program for env's rank: the hybrid loop of Listing 1.
-// It must be called from the rank's master process p. Errors are
-// structural (unknown class) and detected before simulation starts.
-func (s *Spec) Run(p *des.Proc, env *Env) error {
-	iters, err := s.Iterations(env.Class)
-	if err != nil {
-		return err
-	}
-	nd := env.Team.Node()
-	prof := nd.Profile()
-	n := env.Rank.World().Size()
-	c := env.Team.Size()
-
-	perCoreWork := s.WorkPerIter / float64(n*c)
-	if s.Imbalance > 0 && n > 1 {
-		perCoreWork *= 1 + s.Imbalance*float64(env.Rank.ID())/float64(n-1)
-	}
-	traffic := perCoreWork * s.MemBytesPerWork * prof.MemTrafficFactor
-	bursts := 1
-	if traffic > 0 {
-		bursts = int(math.Ceil(traffic / prof.MemBurstBytes))
-		max := s.MaxBurstsPerIter
-		if max <= 0 {
-			max = 8
-		}
-		if bursts > max {
-			bursts = max
-		}
-	}
-	segWork := perCoreWork / float64(bursts)
-	segBytes := traffic / float64(bursts)
-	overlapBurst := int(s.OverlapPoint * float64(bursts))
-	if overlapBurst >= bursts {
-		overlapBurst = bursts - 1
-	}
-	extraWork := 0.0
-	if s.SyncOverheadFrac > 0 && n > 1 {
-		extraWork = s.SyncOverheadFrac * perCoreWork * math.Log2(float64(n)) * math.Log2(float64(n*c))
-	}
-
-	haloExpected := 0
-	iterStart := p.Now()
-	lastNetWait := 0.0
-	lastCompute, lastMemStall := 0.0, 0.0
-	for it := 0; it < iters; it++ {
-		env.Team.Parallel(p, func(th *omp.Thread) {
-			for b := 0; b < bursts; b++ {
-				th.Compute(segWork, s.BFrac)
-				if th.ID == 0 && n > 1 && b == overlapBurst {
-					s.postHalo(env.Rank, n)
-				}
-				th.MemAccess(segBytes)
-			}
-			if extraWork > 0 {
-				th.Compute(extraWork, s.BFrac)
-			}
-		})
-		if n > 1 {
-			if s.CollectiveBytes > 0 {
-				env.Rank.Allreduce(p, s.CollectiveBytes)
-			}
-			if s.AlltoallVolume > 0 {
-				env.Rank.Alltoall(p, s.AlltoallVolume/float64(n))
-			}
-			if s.HaloMsgs > 0 {
-				haloExpected += s.HaloMsgs
-				env.Rank.WaitCount(p, mpi.TagHalo, haloExpected)
-			}
-			if s.BarrierPerIter {
-				env.Rank.Barrier(p)
-			}
-		}
-		if env.Governor != nil {
-			dur := p.Now() - iterStart
-			netWait := nd.Ctrs[0].NetWaitTime
-			if pa, ok := env.Governor.(dvfs.PhaseAware); ok {
-				compute := nd.Ctrs[0].WorkTime + nd.Ctrs[0].BStallTime
-				memStall := nd.Ctrs[0].MemStallTime
-				pa.ObservePhases(it, dvfs.PhaseSample{
-					Compute:  compute - lastCompute,
-					MemStall: memStall - lastMemStall,
-					NetWait:  netWait - lastNetWait,
-				})
-				lastCompute, lastMemStall = compute, memStall
-			}
-			frac := 0.0
-			if dur > 0 {
-				frac = (netWait - lastNetWait) / dur
-			}
-			if nf := env.Governor.AfterIteration(it, dur, frac, nd.Freq()); nf != nd.Freq() {
-				nd.SetFreq(nf)
-			}
-			lastNetWait = netWait
-			iterStart = p.Now()
-		}
-	}
-	return nil
 }
 
 // postHalo sends the rank's halo messages for one iteration: neighbours at
