@@ -168,8 +168,8 @@ func governorFor(policy string, prof *machine.Profile, cfg machine.Config, prior
 
 // Advise evaluates the governor policy suite for one (system, program,
 // n, c): it picks the static Pareto point over the frequency axis, runs
-// the ungoverned DES once at that point (recording the per-rank phase
-// trace that seeds the phase-predictive governor), then replays the run
+// the ungoverned DES once at that point (summing the per-rank phase
+// totals that seed the phase-predictive governor), then replays the run
 // once per runtime policy and reports the deltas. The "fixed" outcome is
 // the baseline itself: a Fixed governor at the static frequency never
 // retunes, so its run is bit-identical to the ungoverned one (pinned by
@@ -207,9 +207,11 @@ func Advise(m *core.Model, prof *machine.Profile, spec *workload.Spec, opt Advis
 		return nil, fmt.Errorf("characterize: no feasible static point at n=%d c=%d", opt.Nodes, opt.Cores)
 	}
 
-	// 2. Ungoverned baseline run at the static point, with the per-rank
-	// phase trace recorded through PhaseSink (observation only: the
-	// baseline is bit-identical to the same run without the sink).
+	// 2. Ungoverned baseline run at the static point. Its per-rank phase
+	// totals — trace.Summary of the core-0 phase timeline, summed in place
+	// while the run executes rather than buffered — seed the
+	// phase-predictive governor (observation only: the baseline is
+	// bit-identical to the same run without them).
 	base := exec.Request{
 		Prof:          prof,
 		Spec:          spec,
@@ -220,19 +222,18 @@ func Advise(m *core.Model, prof *machine.Profile, spec *workload.Spec, opt Advis
 		SharedMetrics: opt.SharedMetrics,
 		Observe:       opt.Observe,
 	}
-	prior := map[int]dvfs.PhaseSample{}
-	base.PhaseSink = func(_ string, events []trace.Event) {
-		for rank, kinds := range trace.Summary(events) {
-			prior[rank] = dvfs.PhaseSample{
-				Compute:  kinds[trace.Compute],
-				MemStall: kinds[trace.MemStall],
-				NetWait:  kinds[trace.Network],
-			}
-		}
-	}
+	base.PhaseTotals = true
 	baseRes, err := exec.Run(base)
 	if err != nil {
 		return nil, fmt.Errorf("characterize: baseline run: %w", err)
+	}
+	prior := map[int]dvfs.PhaseSample{}
+	for rank, kinds := range baseRes.PhaseTotals {
+		prior[rank] = dvfs.PhaseSample{
+			Compute:  kinds[trace.Compute],
+			MemStall: kinds[trace.MemStall],
+			NetWait:  kinds[trace.Network],
+		}
 	}
 	baseT, baseE := baseRes.Time, baseRes.Energy.Total()
 	if !(baseT > 0) || !(baseE > 0) {
@@ -253,7 +254,7 @@ func Advise(m *core.Model, prof *machine.Profile, spec *workload.Spec, opt Advis
 			return nil, err
 		}
 		req := base
-		req.PhaseSink = nil
+		req.PhaseTotals = false
 		req.Governor = factory
 		reqs = append(reqs, req)
 		schedules = append(schedules, schedule)

@@ -3,6 +3,7 @@ package characterize
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,7 +15,7 @@ import (
 	"hybridperf/internal/workload"
 )
 
-func adviseFixture(t *testing.T) (*core.Model, *machine.Profile, *workload.Spec) {
+func adviseFixture(t testing.TB) (*core.Model, *machine.Profile, *workload.Spec) {
 	t.Helper()
 	prof := machine.XeonE5()
 	spec := workload.SP()
@@ -168,5 +169,38 @@ func TestAdviseValidation(t *testing.T) {
 	}
 	if _, err := Advise(m, prof, spec, AdviseOptions{Class: "Z", Nodes: 2, Cores: 4, Seed: 1}); err == nil {
 		t.Error("unknown class accepted")
+	}
+}
+
+// TestAdviseBaselineAllocBudget: the phase prior is summed while the
+// advise baseline runs, not buffered as a timeline, so asking for it
+// costs the baseline at most a quarter more heap than the same run
+// without it (buffering every core-0 phase event cost about 6x on this
+// fixture, 20k events for LU class A on 8x8).
+func TestAdviseBaselineAllocBudget(t *testing.T) {
+	base := exec.Request{
+		Prof: machine.XeonE5(), Spec: workload.LU(), Class: workload.ClassA,
+		Cfg: machine.Config{Nodes: 8, Cores: 8, Freq: 1.8e9}, Seed: 42,
+	}
+	allocated := func(req exec.Request) uint64 {
+		// The minimum over a few runs discards stray background allocation.
+		best := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := exec.Run(req); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	withPrior := base
+	withPrior.PhaseTotals = true
+	plain, prior := allocated(base), allocated(withPrior)
+	if float64(prior) > 1.25*float64(plain) {
+		t.Fatalf("baseline with the phase prior allocated %d B, %.2fx the %d B of the plain run (budget 1.25x)",
+			prior, float64(prior)/float64(plain), plain)
 	}
 }

@@ -37,11 +37,10 @@ type Options struct {
 	// Summary's aggregate engine counters. Off by default (the counters
 	// never alter results, only observe them).
 	Metrics bool
-	// SharedMetrics, when non-nil, accumulates every simulation's engine
-	// counters into this shared engine (see exec.Request.SharedMetrics) —
-	// the serving layer's process-lifetime counter set. The Summary's own
-	// aggregate still requires Metrics, since per-run deltas on a shared
-	// engine overlap under concurrency.
+	// SharedMetrics, when non-nil, receives every simulation's engine
+	// tally, published once per run (see exec.Request.SharedMetrics) —
+	// the serving layer's process-lifetime counter set. It does not fill
+	// the Summary's aggregate; Metrics does.
 	SharedMetrics *metrics.Engine
 	// Observe, when non-nil, receives a wall-clock span for every
 	// simulation of the campaign plus one for each campaign stage
@@ -180,11 +179,9 @@ func Run(prof *machine.Profile, spec *workload.Spec, opts Options) (*Summary, er
 		opts.Observe(fmt.Sprintf("baseline sweep %s/%s (%d cfgs)", prof.Name, spec.Name, len(reqs)),
 			sweepStart, time.Now())
 	}
-	// Summary aggregation only for the per-run (non-shared) engines: with
-	// a shared engine, concurrent per-run deltas overlap and double-count.
 	var agg metrics.EngineSnapshot
 	aggRuns := 0
-	if opts.Metrics && opts.SharedMetrics == nil {
+	if opts.Metrics {
 		agg, aggRuns = exec.SweepMetrics(results)
 	}
 	baseline := make(map[machine.CF]core.BaselinePoint, len(results))
@@ -223,7 +220,7 @@ func Run(prof *machine.Profile, spec *workload.Spec, opts Options) (*Summary, er
 		if err != nil {
 			return nil, fmt.Errorf("characterize: mpiP run: %w", err)
 		}
-		if opts.Metrics && opts.SharedMetrics == nil && res.Metrics != nil {
+		if opts.Metrics {
 			agg.Add(res.Metrics.Engine)
 			aggRuns++
 		}

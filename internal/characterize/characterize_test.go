@@ -7,6 +7,7 @@ import (
 	"hybridperf/internal/core"
 	"hybridperf/internal/exec"
 	"hybridperf/internal/machine"
+	"hybridperf/internal/metrics"
 	"hybridperf/internal/stats"
 	"hybridperf/internal/workload"
 )
@@ -290,5 +291,32 @@ func TestCrossbarTopologyValidates(t *testing.T) {
 		if es.Mean > 15 {
 			t.Errorf("%s crossbar mean time error %.1f%% outside the band", spec.Name, es.Mean)
 		}
+	}
+}
+
+// TestSummaryMetricsWithSharedEngine: a campaign with Metrics set fills
+// Summary.Metrics whether or not a shared engine is attached, and with one
+// attached the engine receives exactly the campaign's aggregate — every
+// run's own tally, published once, however many ran concurrently.
+func TestSummaryMetricsWithSharedEngine(t *testing.T) {
+	prof, spec := machine.XeonE5(), workload.SP()
+	own, err := Run(prof, spec, Options{Seed: 42, Workers: 4, Metrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := metrics.NewEngine()
+	sum, err := Run(prof, spec, Options{Seed: 42, Workers: 4, Metrics: true, SharedMetrics: shared})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.MetricsRuns == 0 || sum.Metrics.Events == 0 {
+		t.Fatalf("shared-engine campaign aggregated nothing: %d runs, %+v", sum.MetricsRuns, sum.Metrics)
+	}
+	if sum.Metrics != own.Metrics || sum.MetricsRuns != own.MetricsRuns {
+		t.Fatalf("aggregate depends on the shared engine:\n shared %+v (%d runs)\n own    %+v (%d runs)",
+			sum.Metrics, sum.MetricsRuns, own.Metrics, own.MetricsRuns)
+	}
+	if got := shared.Snapshot(); got != sum.Metrics {
+		t.Fatalf("shared engine differs from the campaign aggregate:\n engine    %+v\n aggregate %+v", got, sum.Metrics)
 	}
 }

@@ -91,10 +91,15 @@ type Kernel struct {
 	ctx       context.Context
 	ctxBudget int
 
-	// mx, when non-nil, receives observability counters. Hot-path hooks
-	// cost one nil check when off; the counters never feed back into
+	// mx points at tally while instrumentation is on and is nil when off,
+	// so hot-path hooks cost one nil check when off and one plain
+	// increment when on. The tally is kernel-local: a kernel runs on one
+	// goroutine at a time, so it needs no atomics, and concurrent kernels
+	// never share a cache line. Callers publish it once the run is over
+	// (see metrics.Engine.Add). The counters never feed back into
 	// scheduling, so instrumented runs stay bit-for-bit identical.
-	mx *metrics.Engine
+	mx    *metrics.EngineSnapshot
+	tally metrics.EngineSnapshot
 }
 
 // NewKernel returns an empty kernel with the clock at zero.
@@ -154,15 +159,21 @@ func (k *Kernel) pollCtx() bool {
 	return false
 }
 
-// SetMetrics attaches an observability counter set to the kernel (nil
-// detaches). Several kernels may share one Engine: its counters are
-// atomic, so concurrent sweep workers can aggregate into a single set.
-func (k *Kernel) SetMetrics(m *metrics.Engine) { k.mx = m }
+// SetMetrics switches the kernel's own engine tally on or off. The tally
+// is never shared with another kernel; read it with Metrics.
+func (k *Kernel) SetMetrics(on bool) {
+	if on {
+		k.mx = &k.tally
+	} else {
+		k.mx = nil
+	}
+}
 
-// Metrics returns the attached counter set, or nil when instrumentation
-// is off. Simulated runtimes built on the kernel (omp, mpi) use it to
-// publish their own counters without extra plumbing.
-func (k *Kernel) Metrics() *metrics.Engine { return k.mx }
+// Metrics returns the kernel's engine tally, or nil when instrumentation
+// is off. Simulated runtimes built on the kernel (omp, mpi) count into it
+// without extra plumbing; like the rest of the kernel, it must only be
+// touched from the goroutine running the simulation.
+func (k *Kernel) Metrics() *metrics.EngineSnapshot { return k.mx }
 
 type event struct {
 	t   float64
@@ -173,7 +184,7 @@ type event struct {
 // heapPush inserts e into the 4-ary min-heap (sift-up, inlined compare).
 func (k *Kernel) heapPush(e event) {
 	if k.mx != nil {
-		k.mx.HeapHighWater.Observe(uint64(len(k.heap) + 1))
+		k.mx.ObserveHeap(uint64(len(k.heap) + 1))
 	}
 	h := append(k.heap, e)
 	i := len(h) - 1
@@ -312,7 +323,7 @@ func (k *Kernel) handoff() {
 	if !k.aborted && k.failure == nil {
 		if next := k.dispatchNext(); next != nil {
 			if k.mx != nil {
-				k.mx.Handoffs.Inc()
+				k.mx.Handoffs++
 			}
 			next.resume <- struct{}{}
 			return
@@ -334,9 +345,9 @@ func (k *Kernel) Go(name string, fn func(*Proc, any), ctx any) {
 	k.busyGo++
 	if k.mx != nil {
 		if len(k.pool) > 0 {
-			k.mx.PoolHits.Inc()
+			k.mx.PoolHits++
 		} else {
-			k.mx.PoolSpawns.Inc()
+			k.mx.PoolSpawns++
 		}
 	}
 	if n := len(k.pool); n > 0 {
@@ -390,13 +401,13 @@ func (p *Proc) park() {
 	next := k.dispatchNext()
 	if next == p {
 		if k.mx != nil {
-			k.mx.SelfDispatches.Inc()
+			k.mx.SelfDispatches++
 		}
 		return
 	}
 	if next != nil {
 		if k.mx != nil {
-			k.mx.Handoffs.Inc()
+			k.mx.Handoffs++
 		}
 		next.resume <- struct{}{}
 	} else {
@@ -445,7 +456,7 @@ func (p *Proc) AdvanceArm(dt float64) bool {
 		if t <= k.horizon && (len(k.heap) == 0 || k.heap[0].t > t) && !k.pollCtx() {
 			k.now = t
 			if k.mx != nil {
-				k.mx.Lookaheads.Inc()
+				k.mx.Lookaheads++
 			}
 			return true
 		}
@@ -573,7 +584,7 @@ func (k *Kernel) dispatchNext() *Proc {
 		ev.p.wakeSeq = 0
 		k.dispatched++
 		if k.mx != nil {
-			k.mx.Events.Inc()
+			k.mx.Events++
 		}
 		return ev.p
 	}
@@ -602,7 +613,7 @@ func (k *Kernel) Run(until float64) error {
 	}
 	if next := k.dispatchNext(); next != nil {
 		if k.mx != nil {
-			k.mx.SchedulerDispatches.Inc()
+			k.mx.SchedulerDispatches++
 		}
 		next.resume <- struct{}{}
 		<-k.main

@@ -76,9 +76,9 @@ func (k *Kernel) GoSeq(name string, m Machine) {
 	k.busyGo++
 	if k.mx != nil {
 		if len(k.pool) > 0 {
-			k.mx.PoolHits.Inc()
+			k.mx.PoolHits++
 		} else {
-			k.mx.PoolSpawns.Inc()
+			k.mx.PoolSpawns++
 		}
 	}
 	if n := len(k.pool); n > 0 {
@@ -117,9 +117,9 @@ func (k *Kernel) runSeq(until float64) error {
 		}
 		if k.mx != nil {
 			if next == prev {
-				k.mx.SelfDispatches.Inc()
+				k.mx.SelfDispatches++
 			} else {
-				k.mx.SchedulerDispatches.Inc()
+				k.mx.SchedulerDispatches++
 			}
 		}
 		k.stepSeq(next)

@@ -5,6 +5,7 @@ import (
 
 	"hybridperf/internal/dvfs"
 	"hybridperf/internal/machine"
+	"hybridperf/internal/metrics"
 	"hybridperf/internal/workload"
 )
 
@@ -91,4 +92,31 @@ func BenchmarkSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRunParallelShared is the BenchmarkRun fixture run from every
+// GOMAXPROCS goroutine at once, all publishing into one shared
+// metrics.Engine — the shape of concurrent /v1/advise simulations under
+// load. Read it as a ratio to BenchmarkRun from the same invocation; the
+// kernels count into their own tallies and publish once per run, so the
+// shared engine adds no cross-core contention to the ratio.
+func BenchmarkRunParallelShared(b *testing.B) {
+	req := Request{
+		Prof:          machine.XeonE5(),
+		Spec:          workload.SP(),
+		Class:         workload.ClassS,
+		Cfg:           machine.Config{Nodes: 8, Cores: 8, Freq: 1.8e9},
+		Seed:          1,
+		SharedMetrics: metrics.NewEngine(),
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, err := Run(req); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }

@@ -57,19 +57,18 @@ type Request struct {
 	// thread, suitable for Gantt rendering, Chrome-trace export and the
 	// measured-UCR derivation.
 	Trace bool
-	// Metrics attaches engine instrumentation to the run's kernel and
-	// fills Result.Metrics with counter snapshots and per-rank phase-time
-	// totals. Off by default; the counters never feed back into the
-	// simulation, so results are bit-identical either way.
+	// Metrics switches on the kernel's engine tally and fills
+	// Result.Metrics with it and per-rank phase-time totals. Off by
+	// default; the counters never feed back into the simulation, so
+	// results are bit-identical either way.
 	Metrics bool
-	// SharedMetrics, when non-nil, attaches this engine — typically one
-	// process-lifetime counter set owned by a serving layer — to the run's
-	// kernel instead of a fresh one, accumulating counters across runs
-	// (all fields are atomic, so concurrent sweep runs may share it).
-	// Result.Metrics then reports the end-minus-start snapshot delta; with
-	// concurrent runs on one engine the delta includes overlapping work,
-	// so treat per-run deltas as approximate and the shared engine itself
-	// as the authoritative cumulative view. Takes precedence over Metrics.
+	// SharedMetrics, when non-nil, receives the run's engine tally —
+	// typically one process-lifetime counter set owned by a serving layer,
+	// accumulating across runs. The kernel counts into its own tally and
+	// Run publishes it here once, when the run ends (completed, failed or
+	// cancelled), so the engine does not move while the run is in flight
+	// and concurrent runs never contend on it. Implies Metrics:
+	// Result.Metrics reports exactly this run's tally.
 	SharedMetrics *metrics.Engine
 	// Observe, when non-nil, is called once after a successful run with a
 	// label naming the program and configuration and the wall-clock
@@ -87,6 +86,11 @@ type Request struct {
 	// the run returns. Purely observational: recording never feeds back
 	// into the simulation, so results are bit-identical with or without it.
 	PhaseSink func(label string, events []trace.Event)
+	// PhaseTotals fills Result.PhaseTotals with the per-(rank, kind) time
+	// of the phase timeline — trace.Summary of what Trace would record —
+	// summed while the run executes, without buffering the timeline.
+	// Purely observational, like Trace.
+	PhaseTotals bool
 
 	// rankMachine, when non-nil, replaces req.Spec.Machine as the per-rank
 	// entry point — a test seam for injecting per-rank failures (see
@@ -111,13 +115,16 @@ type Result struct {
 	PerNode        []node.EnergyBreakdown
 
 	Trace []trace.Event // phase timeline (when requested)
+	// PhaseTotals is trace.Summary of the run's phase timeline when
+	// Request.PhaseTotals was set, bit for bit.
+	PhaseTotals map[int]map[trace.Kind]float64
 	// MeasuredUCR is the Useful Computation Ratio derived from the
 	// recorded timeline (mean over ranks of master-thread compute time
 	// over the timeline span) — the measured counterpart of the model's
 	// predicted UCR. Zero unless Request.Trace was set.
 	MeasuredUCR float64
-	// Metrics holds engine counter snapshots and per-rank phase times
-	// when Request.Metrics was set.
+	// Metrics holds the run's engine tally and per-rank phase times when
+	// Request.Metrics or Request.SharedMetrics was set.
 	Metrics *metrics.RunMetrics
 
 	Totals      counters.Totals   // cluster-wide counter aggregation
@@ -212,21 +219,24 @@ func Run(req Request) (*Result, error) {
 	world := mpi.NewWorld(k, sw, nodes)
 
 	var rec *trace.Recorder
-	if req.Trace || req.PhaseSink != nil {
+	switch {
+	case req.Trace || req.PhaseSink != nil:
 		rec = trace.NewRecorder(0)
+	case req.PhaseTotals:
+		rec = trace.NewSummaryRecorder(0)
+	}
+	if rec != nil {
 		for _, nd := range nodes {
 			nd.SetTrace(rec)
 		}
 	}
-	var mx *metrics.Engine
-	var pre metrics.EngineSnapshot
+	if req.Metrics || req.SharedMetrics != nil {
+		k.SetMetrics(true)
+	}
 	if req.SharedMetrics != nil {
-		mx = req.SharedMetrics
-		pre = mx.Snapshot()
-		k.SetMetrics(mx)
-	} else if req.Metrics {
-		mx = metrics.NewEngine()
-		k.SetMetrics(mx)
+		// One publish per run, whatever its outcome: a cancelled or failed
+		// run's dispatched events are still engine work done.
+		defer func() { req.SharedMetrics.Add(*k.Metrics()) }()
 	}
 
 	newRank := req.Spec.Machine
@@ -278,13 +288,14 @@ func Run(req Request) (*Result, error) {
 		res.Trace = rec.Events()
 		res.MeasuredUCR = trace.UCR(res.Trace)
 	}
+	if req.PhaseTotals {
+		res.PhaseTotals = rec.Summary()
+	}
 	if req.PhaseSink != nil {
 		req.PhaseSink(fmt.Sprintf("%s %v", req.Spec.Name, req.Cfg), rec.Events())
 	}
-	if mx != nil {
-		// For a shared engine, report this run's contribution as the
-		// end-minus-start delta (pre is zero for a fresh engine).
-		res.Metrics = &metrics.RunMetrics{Engine: mx.Snapshot().Sub(pre)}
+	if mx := k.Metrics(); mx != nil {
+		res.Metrics = &metrics.RunMetrics{Engine: *mx}
 	}
 	meterNoise := root.Split("meter")
 	for _, nd := range nodes {
@@ -383,9 +394,9 @@ func Sweep(reqs []Request, workers int) ([]*Result, error) {
 	return results, nil
 }
 
-// SweepMetrics aggregates the engine counter snapshots of a sweep's
-// instrumented results (requests with Metrics set). It returns the summed
-// snapshot and how many results carried metrics.
+// SweepMetrics aggregates the engine tallies of a sweep's instrumented
+// results (requests with Metrics or SharedMetrics set). It returns the
+// summed snapshot and how many results carried metrics.
 func SweepMetrics(results []*Result) (metrics.EngineSnapshot, int) {
 	var agg metrics.EngineSnapshot
 	n := 0

@@ -157,7 +157,7 @@ func TestGoldenDeterminism(t *testing.T) {
 				t.Fatalf("shared engine recorded nothing")
 			}
 			if got, want := res4.Metrics.Engine, shared.SharedMetrics.Snapshot(); got != want {
-				t.Fatalf("single-run shared-engine delta should equal the engine total:\n got  %+v\n want %+v", got, want)
+				t.Fatalf("a fresh shared engine should hold exactly the one run's tally:\n tally  %+v\n engine %+v", got, want)
 			}
 			// A live (cancellable, never cancelled) request context arms the
 			// kernel's cancellation poll; the poll must never perturb the

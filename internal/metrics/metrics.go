@@ -1,10 +1,11 @@
-// Package metrics provides the simulator's observability primitives:
-// lock-free atomic counters, high-water gauges and power-of-two histograms
-// cheap enough to live on the DES hot path, plus the aggregate views the
-// run/sweep drivers report. Instrumentation is off by default — a kernel
-// with no Engine attached pays one nil check per hook — and never feeds
-// back into the simulation, so metrics-on and metrics-off runs are
-// bit-for-bit identical.
+// Package metrics provides the simulator's observability primitives: the
+// plain per-run engine tally a DES kernel counts into (EngineSnapshot),
+// the lock-free cumulative Engine that finished runs publish their tally
+// into, power-of-two histograms, and the aggregate views the run/sweep
+// drivers report. Instrumentation is off by default — a kernel with no
+// tally pays one nil check per hook — and never feeds back into the
+// simulation, so metrics-on and metrics-off runs are bit-for-bit
+// identical.
 package metrics
 
 import (
@@ -15,12 +16,9 @@ import (
 )
 
 // Counter is a monotonically increasing atomic counter. The zero value is
-// ready to use. Atomic operations make one Engine shareable across the
-// kernels of a concurrent sweep.
+// ready to use. Atomic operations let concurrent runs publish into one
+// Engine.
 type Counter struct{ v atomic.Uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n.
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
@@ -51,7 +49,9 @@ func (h *HighWater) Load() uint64 { return h.v.Load() }
 const HistBuckets = 28
 
 // Histogram is a fixed power-of-two-bucketed histogram of uint64
-// observations. The zero value is ready to use.
+// observations, filled by merging tallies' plain bucket counts (see
+// EngineSnapshot.ObserveMessage and Engine.Add). The zero value is ready
+// to use.
 type Histogram struct{ buckets [HistBuckets]atomic.Uint64 }
 
 // bucketOf maps an observation to its bucket index.
@@ -66,8 +66,14 @@ func bucketOf(v uint64) int {
 	return b
 }
 
-// Observe records one value.
-func (h *Histogram) Observe(v uint64) { h.buckets[bucketOf(v)].Add(1) }
+// add merges the bucket counts of a plain histogram snapshot.
+func (h *Histogram) add(buckets [HistBuckets]uint64) {
+	for i, n := range buckets {
+		if n != 0 {
+			h.buckets[i].Add(n)
+		}
+	}
+}
 
 // Snapshot returns the bucket counts.
 func (h *Histogram) Snapshot() (out [HistBuckets]uint64) {
@@ -154,16 +160,15 @@ func Quantile(buckets [HistBuckets]uint64, q float64) float64 {
 	return hi
 }
 
-// Engine is the live counter set a DES kernel (and the simulated runtimes
-// on top of it) writes while instrumentation is on. One Engine may be
-// shared by several kernels — every field is atomic.
+// Engine is a cumulative, concurrency-safe engine counter set — typically
+// one per process, owned by a serving layer. Kernels never write it while
+// they run: each run counts into its kernel's own plain EngineSnapshot and
+// publishes that tally here once, with Add, when it finishes. A shared set
+// of atomics written from every dispatch of several concurrent runs
+// contends on one cache line; publishing once per run does not. Every
+// field is atomic, so any number of runs may publish concurrently.
 type Engine struct {
-	// Kernel dispatch accounting. Events = Handoffs + SelfDispatches +
-	// SchedulerDispatches: every dispatched event is classified by who
-	// performed the dispatch (a parking/exiting process handing control
-	// straight to the next process, the process itself via the park fast
-	// path, or the Run caller). Lookahead advances bypass the event queue
-	// entirely and are counted separately.
+	// Kernel dispatch accounting (see EngineSnapshot).
 	Events              Counter   // events dispatched by the kernel
 	Handoffs            Counter   // direct process-to-process handoffs
 	SelfDispatches      Counter   // park fast path: next event was the parker's own
@@ -184,6 +189,23 @@ type Engine struct {
 // NewEngine returns an empty engine counter set.
 func NewEngine() *Engine { return &Engine{} }
 
+// Add publishes one run's tally: one atomic add per counter and non-empty
+// histogram bucket, and one high-water update. Concurrent Adds are safe;
+// Snapshot taken meanwhile may see a tally partly applied.
+func (e *Engine) Add(s EngineSnapshot) {
+	e.Events.Add(s.Events)
+	e.Handoffs.Add(s.Handoffs)
+	e.SelfDispatches.Add(s.SelfDispatches)
+	e.SchedulerDispatches.Add(s.SchedulerDispatches)
+	e.Lookaheads.Add(s.Lookaheads)
+	e.HeapHighWater.Observe(s.HeapHighWater)
+	e.PoolHits.Add(s.PoolHits)
+	e.PoolSpawns.Add(s.PoolSpawns)
+	e.Regions.Add(s.Regions)
+	e.Messages.Add(s.Messages)
+	e.MsgBytes.add(s.MsgBytes)
+}
+
 // Snapshot captures the current counter values.
 func (e *Engine) Snapshot() EngineSnapshot {
 	return EngineSnapshot{
@@ -201,20 +223,46 @@ func (e *Engine) Snapshot() EngineSnapshot {
 	}
 }
 
-// EngineSnapshot is a plain-value copy of an Engine's counters, suitable
-// for aggregation across the runs of a sweep.
+// EngineSnapshot is the plain-value form of the engine counters. It is
+// the tally a DES kernel (and the simulated runtimes on top of it) counts
+// into while one run executes — a kernel is single-threaded, so plain
+// increments suffice — as well as a copy of an Engine's counters, and the
+// unit of aggregation across the runs of a sweep.
 type EngineSnapshot struct {
-	Events              uint64
-	Handoffs            uint64
-	SelfDispatches      uint64
-	SchedulerDispatches uint64
-	Lookaheads          uint64
-	HeapHighWater       uint64
-	PoolHits            uint64
-	PoolSpawns          uint64
-	Regions             uint64
-	Messages            uint64
-	MsgBytes            [HistBuckets]uint64
+	// Kernel dispatch accounting. Events = Handoffs + SelfDispatches +
+	// SchedulerDispatches: every dispatched event is classified by who
+	// performed the dispatch (a parking/exiting process handing control
+	// straight to the next process, the process itself via the park fast
+	// path, or the Run caller). Lookahead advances bypass the event queue
+	// entirely and are counted separately.
+	Events              uint64 // events dispatched by the kernel
+	Handoffs            uint64 // direct process-to-process handoffs
+	SelfDispatches      uint64 // park fast path: next event was the parker's own
+	SchedulerDispatches uint64 // dispatches performed by the Run caller
+	Lookaheads          uint64 // Advance fast path: clock moved, no event
+	HeapHighWater       uint64 // deepest future-event heap observed
+
+	// Pooled task runners (Kernel.Go).
+	PoolHits   uint64 // tasks served by a parked pooled runner
+	PoolSpawns uint64 // tasks that had to spawn a fresh runner
+
+	// Simulated runtimes.
+	Regions  uint64              // OpenMP parallel regions executed
+	Messages uint64              // MPI messages posted
+	MsgBytes [HistBuckets]uint64 // MPI message sizes [B], bucketed as Histogram
+}
+
+// ObserveHeap raises HeapHighWater to depth if depth exceeds it.
+func (s *EngineSnapshot) ObserveHeap(depth uint64) {
+	if depth > s.HeapHighWater {
+		s.HeapHighWater = depth
+	}
+}
+
+// ObserveMessage counts one MPI message of the given size.
+func (s *EngineSnapshot) ObserveMessage(bytes uint64) {
+	s.Messages++
+	s.MsgBytes[bucketOf(bytes)]++
 }
 
 // Add accumulates another snapshot: counters sum, high-water marks take

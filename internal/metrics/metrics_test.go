@@ -9,7 +9,7 @@ import (
 
 func TestCounter(t *testing.T) {
 	var c Counter
-	c.Inc()
+	c.Add(1)
 	c.Add(4)
 	if got := c.Load(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
@@ -39,11 +39,11 @@ func TestHistogramBuckets(t *testing.T) {
 			t.Fatalf("bucketOf(%d) = %d, want %d", c.v, got, c.want)
 		}
 	}
-	var h Histogram
-	h.Observe(0)
-	h.Observe(1)
-	h.Observe(300)
-	s := h.Snapshot()
+	var tally EngineSnapshot
+	tally.ObserveMessage(0)
+	tally.ObserveMessage(1)
+	tally.ObserveMessage(300)
+	s := tally.MsgBytes
 	if s[0] != 2 || s[8] != 1 {
 		t.Fatalf("snapshot %v", s)
 	}
@@ -57,12 +57,9 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 func TestQuantile(t *testing.T) {
-	var h Histogram
 	// 100 observations of 1 → every quantile lives in bucket 0 = [0,2).
-	for i := 0; i < 100; i++ {
-		h.Observe(1)
-	}
-	s := h.Snapshot()
+	var s [HistBuckets]uint64
+	s[bucketOf(1)] = 100
 	if q := Quantile(s, 0.5); q <= 0 || q >= 2 {
 		t.Fatalf("p50 of all-ones = %g, want inside [0,2)", q)
 	}
@@ -133,11 +130,31 @@ func TestEngineSnapshotAdd(t *testing.T) {
 	}
 }
 
+// TestEngineSnapshotObserve: the kernel-local hot-path hooks count into
+// the plain tally with the Engine's histogram bucketing.
+func TestEngineSnapshotObserve(t *testing.T) {
+	var s EngineSnapshot
+	for _, d := range []uint64{3, 9, 2} {
+		s.ObserveHeap(d)
+	}
+	s.ObserveMessage(300)
+	s.ObserveMessage(1)
+	if s.HeapHighWater != 9 {
+		t.Fatalf("high water = %d, want 9", s.HeapHighWater)
+	}
+	var want [HistBuckets]uint64
+	want[0], want[8] = 1, 1
+	if s.Messages != 2 || s.MsgBytes != want {
+		t.Fatalf("messages %d, buckets %v, want 2 and %v", s.Messages, s.MsgBytes, want)
+	}
+}
+
 func TestEngineSnapshotString(t *testing.T) {
+	var tally EngineSnapshot
+	tally.Events = 3
+	tally.ObserveMessage(100)
 	var e Engine
-	e.Events.Add(3)
-	e.Messages.Inc()
-	e.MsgBytes.Observe(100)
+	e.Add(tally)
 	s := e.Snapshot().String()
 	for _, want := range []string{"3 dispatched", "1 messages", "[64,128):1", "p50=", "p95=", "p99="} {
 		if !strings.Contains(s, want) {
@@ -146,8 +163,9 @@ func TestEngineSnapshotString(t *testing.T) {
 	}
 }
 
-// An Engine must tolerate concurrent writers: one shared Engine can be
-// attached to the kernels of a parallel sweep.
+// An Engine must tolerate concurrent publishers: every run of a parallel
+// sweep publishes its tally into one shared Engine, and the Engine ends up
+// holding exactly the sum (high water: the maximum) of the tallies.
 func TestEngineConcurrentWriters(t *testing.T) {
 	e := NewEngine()
 	const workers, perWorker = 8, 1000
@@ -157,16 +175,18 @@ func TestEngineConcurrentWriters(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				e.Events.Inc()
-				e.HeapHighWater.Observe(uint64(w*perWorker + i))
-				e.MsgBytes.Observe(uint64(i))
+				var tally EngineSnapshot
+				tally.Events = 1
+				tally.ObserveHeap(uint64(w*perWorker + i))
+				tally.ObserveMessage(uint64(i))
+				e.Add(tally)
 			}
 		}(w)
 	}
 	wg.Wait()
 	s := e.Snapshot()
-	if s.Events != workers*perWorker {
-		t.Fatalf("events = %d, want %d", s.Events, workers*perWorker)
+	if s.Events != workers*perWorker || s.Messages != workers*perWorker {
+		t.Fatalf("events = %d, messages = %d, want %d", s.Events, s.Messages, workers*perWorker)
 	}
 	if s.HeapHighWater != workers*perWorker-1 {
 		t.Fatalf("high water = %d", s.HeapHighWater)
@@ -177,5 +197,25 @@ func TestEngineConcurrentWriters(t *testing.T) {
 	}
 	if total != workers*perWorker {
 		t.Fatalf("histogram total = %d", total)
+	}
+}
+
+// TestEngineAddMatchesSnapshotAdd: publishing tallies into an Engine
+// aggregates exactly as summing the snapshots does.
+func TestEngineAddMatchesSnapshotAdd(t *testing.T) {
+	a := EngineSnapshot{Events: 10, Handoffs: 1, SelfDispatches: 2, SchedulerDispatches: 7,
+		Lookaheads: 5, HeapHighWater: 7, PoolHits: 3, PoolSpawns: 4, Regions: 6}
+	a.ObserveMessage(4096)
+	b := EngineSnapshot{Events: 5, SchedulerDispatches: 5, HeapHighWater: 9, Regions: 1}
+	b.ObserveMessage(12)
+	b.ObserveMessage(4000)
+	var e Engine
+	e.Add(a)
+	e.Add(b)
+	var want EngineSnapshot
+	want.Add(a)
+	want.Add(b)
+	if got := e.Snapshot(); got != want {
+		t.Fatalf("Engine.Add:\n got  %+v\n want %+v", got, want)
 	}
 }

@@ -114,8 +114,7 @@ func (r *Rank) isend(to int, bytes float64, tag Tag, seq int) {
 	r.sentMsgs++
 	r.sentBytes += bytes
 	if m := r.w.k.Metrics(); m != nil {
-		m.Messages.Inc()
-		m.MsgBytes.Observe(uint64(bytes))
+		m.ObserveMessage(uint64(bytes))
 	}
 	if to == r.id {
 		// Self-delivery is immediate: shared memory, no switch transit.

@@ -68,7 +68,7 @@ func (th *Thread) MemAccess(bytes float64) {
 // are pooled daemon processes woken per region (spawned on the first).
 func (t *Team) Parallel(p *des.Proc, body func(th *Thread)) {
 	if m := t.k.Metrics(); m != nil {
-		m.Regions.Inc()
+		m.Regions++
 	}
 	n := t.Size()
 	t.body = body

@@ -29,7 +29,7 @@ type SeqBody interface {
 // the caller drives its own body to completion and then RegionJoinArm.
 func (t *Team) RegionBegin(p *des.Proc, mk func(tid int) SeqBody) *Thread {
 	if m := t.k.Metrics(); m != nil {
-		m.Regions.Inc()
+		m.Regions++
 	}
 	t.done = 0
 	if t.workers == nil {

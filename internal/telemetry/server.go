@@ -100,7 +100,7 @@ type Server struct {
 	log         *slog.Logger
 	reg         *Registry
 	advSlowdown float64         // resolved default /v1/advise makespan tolerance
-	engine      *metrics.Engine // shared engine counters of every simulation
+	engine      *metrics.Engine // engine tallies published by every finished simulation
 	spans       *Spans
 	start       time.Time
 	ready       atomic.Bool
@@ -347,8 +347,9 @@ func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 // Registry exposes the server's metric registry (tests, extra collectors).
 func (s *Server) Registry() *Registry { return s.reg }
 
-// Engine exposes the shared engine counter set fed by every simulation
-// the server runs.
+// Engine exposes the shared engine counter set every simulation the
+// server runs publishes its tally into when it ends; the counters do not
+// move while a simulation is in flight.
 func (s *Server) Engine() *metrics.Engine { return s.engine }
 
 // Spans exposes the span flight recorder.
@@ -410,10 +411,11 @@ var errSaturated = errors.New("admission slots saturated")
 
 // model returns the cached model for (system, program), characterising it
 // on first use with the server's collectors attached: every simulation
-// feeds the shared engine counters and the span recorder, and the
-// campaign logs one line with its engine-event delta. ctx cancels an
-// in-flight characterisation mid-simulation (client disconnect, request
-// timeout). Concurrent cold requests for one key collapse into a single
+// publishes its tally into the shared engine counters and feeds the span
+// recorder, and the campaign logs one line with the engine's event delta
+// over the campaign (which includes any other run that finished
+// meanwhile). ctx cancels an in-flight characterisation mid-simulation
+// (client disconnect, request timeout). Concurrent cold requests for one key collapse into a single
 // campaign.
 //
 // Admission: unless the caller is already admitted (Warm runs before

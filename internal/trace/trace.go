@@ -77,10 +77,18 @@ func (e Event) Duration() float64 { return e.End - e.Start }
 // Recorder accumulates events. The zero value is ready to use; a nil
 // *Recorder safely ignores Add calls, so instrumentation sites need no
 // conditionals.
+//
+// A recorder made by NewSummaryRecorder keeps no timeline: it streams each
+// accepted event into per-(rank, kind) totals instead, so a caller that
+// only wants Summary pays for a few floats per rank rather than a buffer
+// of every event.
 type Recorder struct {
 	events  []Event
+	n       int // events accepted so far (stored or summed)
 	limit   int
 	dropped int
+	summary bool
+	totals  [][numKinds]float64 // summary mode: totals[rank][kind]
 }
 
 // NewRecorder creates a recorder holding at most limit events (<= 0 means
@@ -91,6 +99,18 @@ func NewRecorder(limit int) *Recorder {
 		limit = 1 << 20
 	}
 	return &Recorder{limit: limit}
+}
+
+// NewSummaryRecorder creates a summary-mode recorder: Add applies exactly
+// the rules of NewRecorder(limit) — the same rejections, the same limit,
+// the same Dropped count — but sums each accepted event's duration into
+// its (rank, kind) total in arrival order instead of storing it. Its
+// Summary therefore equals Summary(NewRecorder(limit).Events()) of the
+// same Add sequence bit for bit, and Events reports nothing.
+func NewSummaryRecorder(limit int) *Recorder {
+	r := NewRecorder(limit)
+	r.summary = true
+	return r
 }
 
 // Add records one phase. It is a no-op on a nil recorder and on
@@ -113,14 +133,47 @@ func (r *Recorder) Add(rank int, kind Kind, start, end float64) {
 	if end == start {
 		return
 	}
-	if len(r.events) >= r.limit {
+	if r.n >= r.limit {
 		r.dropped++
+		return
+	}
+	r.n++
+	if r.summary {
+		for len(r.totals) <= rank {
+			r.totals = append(r.totals, [numKinds]float64{})
+		}
+		r.totals[rank][kind] += end - start // as Event.Duration
 		return
 	}
 	r.events = append(r.events, Event{Rank: rank, Kind: kind, Start: start, End: end})
 }
 
-// Events returns the recorded events in insertion order.
+// Summary aggregates the recorded time per (rank, kind), as the package
+// function Summary does over Events — for a summary-mode recorder, from
+// the totals streamed in place. A nil recorder reports an empty map.
+func (r *Recorder) Summary() map[int]map[Kind]float64 {
+	if r == nil || !r.summary {
+		return Summary(r.Events())
+	}
+	out := make(map[int]map[Kind]float64)
+	for rank, kinds := range r.totals {
+		for kind, d := range kinds {
+			// Accepted events have End > Start, so a (rank, kind) total
+			// is non-zero exactly when Summary would hold the key.
+			if d == 0 {
+				continue
+			}
+			if out[rank] == nil {
+				out[rank] = make(map[Kind]float64)
+			}
+			out[rank][Kind(kind)] = d
+		}
+	}
+	return out
+}
+
+// Events returns the recorded events in insertion order (none for a
+// summary-mode recorder).
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -202,5 +204,48 @@ func TestGanttMemStallGlyph(t *testing.T) {
 		if !strings.Contains(row, glyph) {
 			t.Fatalf("row lacks %q: %q", glyph, row)
 		}
+	}
+}
+
+// TestSummaryRecorderMatchesRecorder: a summary-mode recorder fed the same
+// Add sequence as a buffering one — valid, zero-length and malformed
+// phases, past its limit — reports the same Dropped count and a Summary
+// equal (float ==) to Summary of the buffered events.
+func TestSummaryRecorderMatchesRecorder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, limit := range []int{0, 1, 7, 200} {
+		full, sum := NewRecorder(limit), NewSummaryRecorder(limit)
+		for i := 0; i < 500; i++ {
+			rank, kind := rng.Intn(5)-1, Kind(rng.Intn(int(numKinds)+1))
+			start := rng.Float64() * 10
+			end := start + rng.Float64()*1e-3
+			switch rng.Intn(8) {
+			case 0:
+				end = start
+			case 1:
+				end = start - 1
+			case 2:
+				start = math.NaN()
+			}
+			full.Add(rank, kind, start, end)
+			sum.Add(rank, kind, start, end)
+		}
+		if sum.Dropped() != full.Dropped() {
+			t.Errorf("limit %d: dropped %d, want %d", limit, sum.Dropped(), full.Dropped())
+		}
+		if len(sum.Events()) != 0 {
+			t.Errorf("limit %d: summary recorder kept %d events", limit, len(sum.Events()))
+		}
+		want := Summary(full.Events())
+		if got := sum.Summary(); len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("limit %d: summary\n got  %v\n want %v", limit, got, want)
+		}
+		if got := full.Summary(); !reflect.DeepEqual(got, want) {
+			t.Errorf("limit %d: buffering recorder's Summary differs from Summary(Events)", limit)
+		}
+	}
+	var nilRec *Recorder
+	if len(nilRec.Summary()) != 0 {
+		t.Error("nil recorder summary not empty")
 	}
 }
