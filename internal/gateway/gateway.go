@@ -1,13 +1,12 @@
-// Package gateway implements hybridperf-gw: a stateless fan-out front
-// for a sharded hybridperfd cluster. The gateway owns no models — it
-// routes point requests (/v1/predict, /v1/advise) to the replica owning
-// their (system, program) key on the same consistent-hash ring the
-// replicas use, splits /v1/batch bodies into one sub-batch per owning
-// shard, and partitions a /v1/sweep configuration space across every
-// shard so the full-space evaluation parallelises over the cluster. Shard answers are merged back in the
-// replicas' canonical order (and sweep frontiers recomputed with the same
-// pareto code), so a response through the gateway is byte-identical to
-// the same request served by a single daemon.
+// Package gateway implements hybridperf-gw: a stateless front for a
+// sharded hybridperfd cluster. The gateway owns no models. Requests that
+// name one model key (/v1/predict, /v1/sweep, /v1/advise) are relayed
+// verbatim to the replica owning that (system, program) on the same
+// consistent-hash ring the replicas use, failing over along the ring.
+// /v1/batch bodies are split into one sub-batch per owning shard, and the
+// shards' NDJSON answers are merged back by model group into the
+// replicas' canonical order, so a response through the gateway is
+// byte-identical to the same request served by a single daemon.
 //
 // Degradation is graceful by construction: a dead shard costs the tuples
 // it owned, not the request — the merged answer carries the surviving
@@ -24,6 +23,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -31,24 +31,20 @@ import (
 	"time"
 
 	"hybridperf/internal/cluster"
-	"hybridperf/internal/core"
 	"hybridperf/internal/machine"
-	"hybridperf/internal/pareto"
 	"hybridperf/internal/telemetry"
 	"hybridperf/internal/workload"
 )
 
 // forwardedHeader mirrors the replicas' loop-prevention header. The
 // gateway sets it on every sub-request: the gateway already routed by
-// ownership (or is deliberately spreading a sweep), so the receiving
-// shard must serve locally instead of adding a second hop.
+// ownership, so the receiving shard must serve locally instead of adding
+// a second hop.
 const forwardedHeader = "X-Hybridperf-Forwarded"
 
-// maxSweepNodes and the batch limits mirror the replicas' request bounds,
-// so the gateway rejects what every shard would reject — without a
-// round trip.
+// The batch limits mirror the replicas' request bounds, so the gateway
+// rejects what every shard would reject — without a round trip.
 const (
-	maxSweepNodes     = 1024
 	maxBatchTuples    = 65536
 	maxBatchBodyBytes = 8 << 20
 )
@@ -146,10 +142,10 @@ func (g *Gateway) sampleTrace() bool {
 // Handler returns the gateway's route table.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/predict", g.observe("/v1/predict", g.handlePredict))
+	for _, route := range []string{"/v1/predict", "/v1/sweep", "/v1/advise"} {
+		mux.HandleFunc("POST "+route, g.observe(route, g.relay(route)))
+	}
 	mux.HandleFunc("POST /v1/batch", g.observe("/v1/batch", g.handleBatch))
-	mux.HandleFunc("POST /v1/sweep", g.observe("/v1/sweep", g.handleSweep))
-	mux.HandleFunc("POST /v1/advise", g.observe("/v1/advise", g.handleAdvise))
 	mux.HandleFunc("GET /v1/systems", g.observe("/v1/systems", g.handleSystems))
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -295,23 +291,8 @@ func (g *Gateway) handleReady(w http.ResponseWriter, r *http.Request) {
 }
 
 // ---------------------------------------------------------------------
-// Wire mirrors of the replicas' request/response shapes. These must stay
-// field-for-field identical to internal/telemetry's (tags and order), so
-// gateway-built responses are byte-compatible with shard-built ones.
-
-type configJSON struct {
-	Nodes   int     `json:"nodes"`
-	Cores   int     `json:"cores"`
-	FreqGHz float64 `json:"freq_ghz"`
-}
-
-type predictionJSON struct {
-	Config  configJSON `json:"config"`
-	TimeS   float64    `json:"time_s"`
-	EnergyJ float64    `json:"energy_j"`
-	PowerW  float64    `json:"power_w"`
-	UCR     float64    `json:"ucr"`
-}
+// Request shapes the gateway reads. batchRequest is re-marshalled into
+// the per-shard sub-batches, so its tags must match internal/telemetry's.
 
 type batchTuple struct {
 	System  string  `json:"system"`
@@ -326,18 +307,6 @@ type batchRequest struct {
 	Engine  string       `json:"engine"` // relayed: shards validate it
 	Workers int          `json:"workers"`
 	Tuples  []batchTuple `json:"tuples"`
-}
-
-type sweepRequest struct {
-	System    string  `json:"system"`
-	Program   string  `json:"program"`
-	Class     string  `json:"class"`
-	MaxNodes  int     `json:"max_nodes"`
-	Pow2      bool    `json:"pow2"`
-	Workers   int     `json:"workers"`
-	DeadlineS float64 `json:"deadline_s"`
-	BudgetJ   float64 `json:"budget_j"`
-	Engine    string  `json:"engine"` // relayed: shards validate it
 }
 
 // shardError annotates one failed sub-request on a partial answer.
@@ -356,17 +325,27 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	})
 }
 
-// decodeStrict mirrors the replicas' body handling: bounded, unknown
-// fields rejected, trailing data rejected.
-func decodeStrict(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
+// readBody reads a request body under the replicas' size cap, answering
+// 413 (too large) or 400 itself when it cannot.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return false
+			return nil, false
 		}
 		httpError(w, http.StatusBadRequest, "reading request body: %v", err)
+		return nil, false
+	}
+	return body, true
+}
+
+// decodeStrict mirrors the replicas' body handling: bounded, unknown
+// fields rejected, trailing data rejected.
+func decodeStrict(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
+	body, ok := readBody(w, r, limit)
+	if !ok {
 		return false
 	}
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -425,7 +404,8 @@ func (e *shardStatusError) Error() string {
 // post sends one sub-request to a shard and returns the response body
 // and headers. Non-2xx answers are errors carrying the shard's error
 // message (and its Retry-After hint, when present), so the annotation on
-// a partial result explains the failure, not just names it.
+// a partial result explains the failure, not just names it; the body
+// still comes back, for callers that relay it verbatim.
 func (g *Gateway) post(r *http.Request, peer, path string, body []byte, stream bool) ([]byte, http.Header, error) {
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, peer+path, bytes.NewReader(body))
 	if err != nil {
@@ -463,8 +443,6 @@ func (g *Gateway) post(r *http.Request, peer, path string, body []byte, stream b
 			Error string `json:"error"`
 		}
 		json.Unmarshal(out, &envelope)
-		// The body rides along so a caller can relay the shard's own error
-		// envelope verbatim (handlePredict does).
 		return out, resp.Header, &shardStatusError{
 			peer: peer, status: resp.StatusCode, message: envelope.Error,
 			retryAfter: resp.Header.Get("Retry-After"),
@@ -473,107 +451,63 @@ func (g *Gateway) post(r *http.Request, peer, path string, body []byte, stream b
 	return out, resp.Header, nil
 }
 
-// handlePredict proxies a point request to the owner of its model key,
-// falling through the ring-walk order when the owner is down — any
-// replica serves any key bit-identically, so failover costs at most a
-// campaign on the fallback shard.
-func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		System  string  `json:"system"`
-		Program string  `json:"program"`
-		Class   string  `json:"class"`
-		Nodes   int     `json:"nodes"`
-		Cores   int     `json:"cores"`
-		FreqGHz float64 `json:"freq_ghz"`
-	}
-	body := new(bytes.Buffer)
-	tee := io.TeeReader(http.MaxBytesReader(w, r.Body, 1<<20), body)
-	if err := json.NewDecoder(tee).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
-		return
-	}
-	io.Copy(io.Discard, tee) // finish teeing the raw body
-	var errs []string
-	for _, peer := range g.ring.Order(cluster.ModelKey(req.System, req.Program)) {
-		out, _, err := g.post(r, peer, "/v1/predict", body.Bytes(), false)
-		if err == nil {
-			var pred struct {
-				TimeS   float64 `json:"time_s"`
-				EnergyJ float64 `json:"energy_j"`
-			}
-			if json.Unmarshal(out, &pred) == nil {
-				g.applyAttribution(w, "/v1/predict", 1, pred.TimeS, pred.EnergyJ)
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(out)
-			return
-		}
-		errs = append(errs, err.Error())
-		// A shard that produced its own HTTP answer (4xx/5xx) would answer
-		// every peer's identical computation the same way: relay its
-		// status — and its backoff hint — instead of burning failover hops.
-		var httpErr *shardStatusError
-		if errors.As(err, &httpErr) {
-			if httpErr.retryAfter != "" {
-				w.Header().Set("Retry-After", httpErr.retryAfter)
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(httpErr.status)
-			w.Write(out)
-			return
-		}
-	}
-	httpError(w, http.StatusServiceUnavailable, "no shard could serve the request: %s", strings.Join(errs, "; "))
-}
+// ---------------------------------------------------------------------
+// Owner-routed relay: /v1/predict, /v1/sweep, /v1/advise.
 
-// handleAdvise proxies an advisory request to the owner of its model key,
-// exactly like handlePredict: the answer is relayed verbatim (document or
-// NDJSON stream), so a response through the gateway is byte-identical to
-// the owning shard's. The shard's cost-attribution headers are re-stamped
-// and aggregated into the gateway's per-route series.
-func (g *Gateway) handleAdvise(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		System  string `json:"system"`
-		Program string `json:"program"`
-	}
-	body := new(bytes.Buffer)
-	tee := io.TeeReader(http.MaxBytesReader(w, r.Body, 1<<20), body)
-	if err := json.NewDecoder(tee).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
-		return
-	}
-	io.Copy(io.Discard, tee) // finish teeing the raw body
-	stream := wantStream(r)
-	var errs []string
-	for _, peer := range g.ring.Order(cluster.ModelKey(req.System, req.Program)) {
-		out, hdr, err := g.post(r, peer, "/v1/advise", body.Bytes(), stream)
-		if err == nil {
-			if preds, e := strconv.Atoi(hdr.Get(telemetry.PredictionsHeader)); e == nil {
-				simS, _ := strconv.ParseFloat(hdr.Get(telemetry.SimSecondsHeader), 64)
-				energyJ, _ := strconv.ParseFloat(hdr.Get(telemetry.EnergyHeader), 64)
-				g.applyAttribution(w, "/v1/advise", preds, simS, energyJ)
+// relay serves a route whose body names one model key by proxying it to
+// the replica owning that (system, program) on the ring, walking the
+// ring order past replicas that fail at the transport — any replica
+// serves any key bit-identically, so failover costs at most a campaign
+// on the fallback shard. The answer (document or NDJSON stream, or the
+// shard's own error answer) is relayed verbatim with its Content-Type,
+// Retry-After and X-Hybridperf-* headers, so it is byte-identical to a
+// single daemon's. Sweeps take this path too: a warm sweep evaluates in
+// tens of microseconds, so splitting one across shards costs the gateway
+// more CPU than the parallel evaluation saves.
+func (g *Gateway) relay(route string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		body, ok := readBody(w, r, 1<<20)
+		if !ok {
+			return
+		}
+		// Only the routing key is read here. A body that does not decode
+		// routes by whatever it yields; the replica that answers rejects it
+		// with the 400 any replica would give, and that is relayed.
+		var key struct {
+			System  string `json:"system"`
+			Program string `json:"program"`
+		}
+		_ = json.Unmarshal(body, &key)
+		stream := wantStream(r)
+		var errs []string
+		for _, peer := range g.ring.Order(cluster.ModelKey(key.System, key.Program)) {
+			out, hdr, err := g.post(r, peer, route, body, stream)
+			status := http.StatusOK
+			var httpErr *shardStatusError
+			switch {
+			case errors.As(err, &httpErr):
+				// A shard that produced its own HTTP answer would answer
+				// every peer's identical computation the same way: relay it
+				// instead of burning failover hops.
+				status = httpErr.status
+			case err != nil:
+				errs = append(errs, err.Error())
+				continue
+			default:
+				g.countRelayed(route, hdr)
 			}
-			ct := hdr.Get("Content-Type")
-			if ct == "" {
-				ct = "application/json"
+			for k, v := range hdr {
+				if k == "Content-Type" || k == "Retry-After" || strings.HasPrefix(k, "X-Hybridperf-") {
+					w.Header()[k] = v
+				}
 			}
-			w.Header().Set("Content-Type", ct)
+			w.WriteHeader(status)
 			w.Write(out)
 			return
 		}
-		errs = append(errs, err.Error())
-		var httpErr *shardStatusError
-		if errors.As(err, &httpErr) {
-			if httpErr.retryAfter != "" {
-				w.Header().Set("Retry-After", httpErr.retryAfter)
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(httpErr.status)
-			w.Write(out)
-			return
-		}
+		w.Header().Set("Retry-After", "1")
+		httpError(w, http.StatusServiceUnavailable, "no shard could serve the request: %s", strings.Join(errs, "; "))
 	}
-	httpError(w, http.StatusServiceUnavailable, "no shard could serve the request: %s", strings.Join(errs, "; "))
 }
 
 // handleSystems proxies the capability document from the first live
@@ -608,69 +542,21 @@ func (g *Gateway) handleSystems(w http.ResponseWriter, r *http.Request) {
 // ---------------------------------------------------------------------
 // /v1/batch fan-out.
 
-// batchShardResponse is the slice of a shard's batch answer the gateway
-// consumes: the result fragments verbatim (bytes preserved for the
-// merge) plus the parsed coordinates needed to order them.
-type batchShardResponse struct {
-	Results []json.RawMessage `json:"results"`
-	Class   string            `json:"class"`
-	Count   int               `json:"count"`
-	Groups  int               `json:"groups"`
+// shardResult is one result of a shard's batch answer: the fragment
+// verbatim, plus the members the merge reads, sliced out of it.
+type shardResult struct {
+	frag            []byte
+	system, program []byte
+	timeS, energyJ  float64
 }
 
-// mergedResult pairs one shard-rendered result fragment with its parsed
-// sort key.
-type mergedResult struct {
-	raw     json.RawMessage
-	system  string
-	program string
-	nodes   int
-	cores   int
-	freqGHz float64
-	timeS   float64
-	energyJ float64
-}
-
-func (a mergedResult) less(b mergedResult) bool {
-	if a.system != b.system {
-		return a.system < b.system
+// compareGroup orders results by (system, program), the leading keys of
+// the replicas' canonical tuple order.
+func compareGroup(a, b shardResult) int {
+	if c := bytes.Compare(a.system, b.system); c != 0 {
+		return c
 	}
-	if a.program != b.program {
-		return a.program < b.program
-	}
-	if a.nodes != b.nodes {
-		return a.nodes < b.nodes
-	}
-	if a.cores != b.cores {
-		return a.cores < b.cores
-	}
-	return a.freqGHz < b.freqGHz
-}
-
-func parseResults(raw []json.RawMessage) ([]mergedResult, error) {
-	out := make([]mergedResult, len(raw))
-	for i, frag := range raw {
-		var meta struct {
-			System  string `json:"system"`
-			Program string `json:"program"`
-			Config  struct {
-				Nodes   int     `json:"nodes"`
-				Cores   int     `json:"cores"`
-				FreqGHz float64 `json:"freq_ghz"`
-			} `json:"config"`
-			TimeS   float64 `json:"time_s"`
-			EnergyJ float64 `json:"energy_j"`
-		}
-		if err := json.Unmarshal(frag, &meta); err != nil {
-			return nil, fmt.Errorf("result %d: %w", i, err)
-		}
-		out[i] = mergedResult{
-			raw: frag, system: meta.System, program: meta.Program,
-			nodes: meta.Config.Nodes, cores: meta.Config.Cores, freqGHz: meta.Config.FreqGHz,
-			timeS: meta.TimeS, energyJ: meta.EnergyJ,
-		}
-	}
-	return out, nil
+	return bytes.Compare(a.program, b.program)
 }
 
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -690,114 +576,99 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if class == "" {
 		class = string(workload.ClassA)
 	}
-	// Validate coordinates before fanning out, mirroring the shards'
-	// checks: a garbage tuple fails here with the same 400 a single
-	// daemon would produce, without touching the cluster.
-	for i, t := range req.Tuples {
-		if _, err := machine.ByName(t.System); err != nil {
-			httpError(w, http.StatusBadRequest, "tuple %d: unknown system %q", i, t.System)
-			return
-		}
-		spec, err := workload.ByName(t.Program)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "tuple %d: unknown program %q", i, t.Program)
-			return
-		}
-		if _, err := spec.Iterations(workload.Class(class)); err != nil {
-			httpError(w, http.StatusBadRequest, "bad class %q: %v", class, err)
-			return
-		}
-	}
-
-	// Partition by owning shard: every tuple of one (system, program)
-	// group lands on the replica that owns — and has, or will
-	// characterise and keep — that model.
+	// Validate each (system, program) at its first tuple, mirroring the
+	// shards' checks — a garbage tuple fails here with the same 400 a
+	// single daemon would produce, without touching the cluster — and
+	// partition by owning shard: every tuple of one group lands on the
+	// replica that owns (has, or will characterise and keep) that model.
+	owners := map[[2]string]string{}
 	byOwner := map[string][]batchTuple{}
-	for _, t := range req.Tuples {
-		owner := g.ring.Owner(cluster.ModelKey(t.System, t.Program))
+	for i, t := range req.Tuples {
+		pair := [2]string{t.System, t.Program}
+		owner, seen := owners[pair]
+		if !seen {
+			if _, err := machine.ByName(t.System); err != nil {
+				httpError(w, http.StatusBadRequest, "tuple %d: unknown system %q", i, t.System)
+				return
+			}
+			spec, err := workload.ByName(t.Program)
+			if err != nil {
+				httpError(w, http.StatusBadRequest, "tuple %d: unknown program %q", i, t.Program)
+				return
+			}
+			if _, err := spec.Iterations(workload.Class(class)); err != nil {
+				httpError(w, http.StatusBadRequest, "bad class %q: %v", class, err)
+				return
+			}
+			owner = g.ring.Owner(cluster.ModelKey(t.System, t.Program))
+			owners[pair] = owner
+		}
 		byOwner[owner] = append(byOwner[owner], t)
 	}
 
 	type shardOut struct {
-		peer   string
-		tuples int
-		resp   *batchShardResponse
-		err    error
+		peer    string
+		results []shardResult
+		err     error
 	}
 	outs := make([]shardOut, 0, len(byOwner))
-	var mu sync.Mutex
+	for owner := range byOwner {
+		outs = append(outs, shardOut{peer: owner})
+	}
 	var wg sync.WaitGroup
-	for owner, tuples := range byOwner {
+	for i := range outs {
 		wg.Add(1)
-		go func(owner string, tuples []batchTuple) {
+		go func(o *shardOut) {
 			defer wg.Done()
-			sub := mustJSON(batchRequest{Class: req.Class, Engine: req.Engine, Workers: req.Workers, Tuples: tuples})
-			out := shardOut{peer: owner, tuples: len(tuples)}
-			raw, _, err := g.post(r, owner, "/v1/batch", sub, false)
+			sub := mustJSON(batchRequest{Class: req.Class, Engine: req.Engine, Workers: req.Workers, Tuples: byOwner[o.peer]})
+			raw, _, err := g.post(r, o.peer, "/v1/batch", sub, true)
 			if err == nil {
-				var parsed batchShardResponse
-				if uerr := json.Unmarshal(raw, &parsed); uerr != nil {
-					err = fmt.Errorf("shard %s: unparseable answer: %w", owner, uerr)
-				} else {
-					out.resp = &parsed
+				if o.results, err = parseShardBatch(raw); err != nil {
+					err = fmt.Errorf("shard %s: unparseable answer: %w", o.peer, err)
 				}
 			}
-			out.err = err
-			mu.Lock()
-			outs = append(outs, out)
-			mu.Unlock()
-		}(owner, tuples)
+			o.err = err
+		}(&outs[i])
 	}
 	wg.Wait()
 
-	var merged []mergedResult
-	var shardErrs []shardError
 	for _, o := range outs {
 		if relayClientError(w, o.err) {
 			return
 		}
 	}
+	var merged []shardResult
+	var shardErrs []shardError
+	var failures []error
 	for _, o := range outs {
 		if o.err != nil {
 			g.log.LogAttrs(r.Context(), slog.LevelWarn, "batch sub-request failed",
 				slog.String("peer", o.peer), slog.Any("err", o.err))
-			shardErrs = append(shardErrs, shardError{Shard: o.peer, Error: o.err.Error(), Tuples: o.tuples})
+			shardErrs = append(shardErrs, shardError{Shard: o.peer, Error: o.err.Error(), Tuples: len(byOwner[o.peer])})
+			failures = append(failures, o.err)
 			continue
 		}
-		res, err := parseResults(o.resp.Results)
-		if err != nil {
-			shardErrs = append(shardErrs, shardError{Shard: o.peer, Error: err.Error(), Tuples: o.tuples})
-			continue
-		}
-		merged = append(merged, res...)
+		merged = append(merged, o.results...)
 	}
+	sort.Slice(shardErrs, func(i, j int) bool { return shardErrs[i].Shard < shardErrs[j].Shard })
 	if len(merged) == 0 && len(shardErrs) > 0 {
-		var failures []error
-		for _, o := range outs {
-			if o.err != nil {
-				failures = append(failures, o.err)
-			}
-		}
 		w.Header().Set("Retry-After", retryAfterHint(failures))
 		httpError(w, http.StatusServiceUnavailable, "all owning shards failed: %s", joinShardErrors(shardErrs))
 		return
 	}
-	// Canonical order across shards — the exact order one daemon's
-	// canonicalizeTuples would have produced, which is what makes the
-	// merged document byte-identical to a single-instance answer.
-	sort.Slice(merged, func(i, j int) bool { return merged[i].less(merged[j]) })
-	sortShardErrors(shardErrs)
-
+	// Each (system, program) group lives entirely on its owner, and every
+	// shard answers in canonical order, so a stable sort by group yields
+	// the exact order one daemon's canonicalisation produces — which is
+	// what makes the merged answer byte-identical to a single daemon's.
+	slices.SortStableFunc(merged, compareGroup)
 	groups := 0
-	for i := range merged {
-		if i == 0 || merged[i].system != merged[i-1].system || merged[i].program != merged[i-1].program {
-			groups++
-		}
-	}
 	frags := make([][]byte, len(merged))
 	var simS, energyJ float64
 	for i, m := range merged {
-		frags[i] = m.raw
+		if i == 0 || compareGroup(m, merged[i-1]) != 0 {
+			groups++
+		}
+		frags[i] = m.frag
 		simS += m.timeS
 		energyJ += m.energyJ
 	}
@@ -808,7 +679,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		ShardErrors []shardError `json:"shard_errors,omitempty"`
 	}{class, len(merged), groups, shardErrs})
 	g.applyAttribution(w, "/v1/batch", len(merged), simS, energyJ)
-	writeSpliced(w, r, sum, "results", "result", frags)
+	writeBatch(w, r, sum, frags)
 }
 
 // relayClientError relays a shard's 4xx answer as this request's answer
@@ -845,10 +716,6 @@ func joinShardErrors(errs []shardError) string {
 	return strings.Join(parts, "; ")
 }
 
-func sortShardErrors(errs []shardError) {
-	sort.Slice(errs, func(i, j int) bool { return errs[i].Shard < errs[j].Shard })
-}
-
 // retryAfterHint returns the first shard-provided Retry-After among errs,
 // falling back to "1" when no shard offered its own backoff.
 func retryAfterHint(errs []error) string {
@@ -859,252 +726,4 @@ func retryAfterHint(errs []error) string {
 		}
 	}
 	return "1"
-}
-
-// ---------------------------------------------------------------------
-// /v1/sweep fan-out.
-
-// sweepSummary mirrors the replicas' sweep header fields, with the
-// gateway's partial-result annotation appended (absent on full answers,
-// so complete sweeps stay byte-identical to a single daemon's).
-type sweepSummary struct {
-	System      string          `json:"system"`
-	Program     string          `json:"program"`
-	Class       string          `json:"class"`
-	Configs     int             `json:"configs"`
-	Points      int             `json:"frontier_points"`
-	Deadline    *predictionJSON `json:"min_energy_within_deadline,omitempty"`
-	Budget      *predictionJSON `json:"min_time_within_budget,omitempty"`
-	ShardErrors []shardError    `json:"shard_errors,omitempty"`
-}
-
-func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req sweepRequest
-	if !decodeStrict(w, r, &req, 1<<20) {
-		return
-	}
-	prof, err := machine.ByName(req.System)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "unknown system %q", req.System)
-		return
-	}
-	spec, err := workload.ByName(req.Program)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "unknown program %q", req.Program)
-		return
-	}
-	class := req.Class
-	if class == "" {
-		class = string(workload.ClassA)
-	}
-	if _, err := spec.Iterations(workload.Class(class)); err != nil {
-		httpError(w, http.StatusBadRequest, "bad class %q: %v", class, err)
-		return
-	}
-	maxNodes := req.MaxNodes
-	if maxNodes == 0 {
-		maxNodes = prof.MaxNodes
-	}
-	if maxNodes < 1 || maxNodes > maxSweepNodes {
-		httpError(w, http.StatusBadRequest, "max_nodes %d out of range [1,%d]", req.MaxNodes, maxSweepNodes)
-		return
-	}
-
-	// Enumerate the full configuration space exactly as one daemon would
-	// — pareto.Space's order is the canonical response order — and cut it
-	// into one contiguous chunk per shard. A sweep is a single model key,
-	// so this deliberately ignores ownership: the win is evaluating N
-	// chunks in parallel, at the cost of each shard characterising (once,
-	// warm-loadable from a shared model store) the swept model.
-	var nodes []int
-	if req.Pow2 {
-		nodes = pareto.PowersOfTwo(maxNodes)
-	} else {
-		nodes = pareto.Range(1, maxNodes)
-	}
-	cfgs := pareto.Space(nodes, prof.CoresPerNode, prof.Frequencies)
-	chunks := chunkConfigs(cfgs, len(g.peers))
-
-	type chunkOut struct {
-		idx  int
-		peer string
-		pts  []pareto.Point
-		wire []predictionJSON
-		err  error
-	}
-	outs := make([]chunkOut, len(chunks))
-	var wg sync.WaitGroup
-	for i, chunk := range chunks {
-		wg.Add(1)
-		go func(i int, chunk []machine.Config) {
-			defer wg.Done()
-			peer := g.peers[i%len(g.peers)]
-			outs[i] = chunkOut{idx: i, peer: peer}
-			pts, wire, err := g.evalChunk(r, peer, req, class, chunk)
-			outs[i].pts, outs[i].wire, outs[i].err = pts, wire, err
-		}(i, chunk)
-	}
-	wg.Wait()
-
-	var points []pareto.Point
-	wireByCfg := make(map[machine.Config]predictionJSON, len(cfgs))
-	var shardErrs []shardError
-	evaluated := 0
-	for _, o := range outs {
-		if relayClientError(w, o.err) {
-			return
-		}
-	}
-	for _, o := range outs {
-		if o.err != nil {
-			g.log.LogAttrs(r.Context(), slog.LevelWarn, "sweep chunk failed",
-				slog.String("peer", o.peer), slog.Any("err", o.err))
-			shardErrs = append(shardErrs, shardError{Shard: o.peer, Error: o.err.Error(), Tuples: len(chunks[o.idx])})
-			continue
-		}
-		points = append(points, o.pts...)
-		for k, p := range o.pts {
-			wireByCfg[p.Cfg] = o.wire[k]
-		}
-		evaluated += len(o.pts)
-	}
-	if evaluated == 0 && len(shardErrs) > 0 {
-		var failures []error
-		for _, o := range outs {
-			if o.err != nil {
-				failures = append(failures, o.err)
-			}
-		}
-		w.Header().Set("Retry-After", retryAfterHint(failures))
-		httpError(w, http.StatusServiceUnavailable, "all shards failed: %s", joinShardErrors(shardErrs))
-		return
-	}
-	sortShardErrors(shardErrs)
-
-	// The merge proper: one frontier over every shard's points, computed
-	// by the same pareto code a single daemon runs, over the same values
-	// (floats survive the JSON hop bit-exactly) in the same enumeration
-	// order — so the merged frontier is the frontier.
-	front := pareto.Frontier(points)
-	sum := sweepSummary{
-		System: req.System, Program: req.Program, Class: class,
-		Configs: evaluated, Points: len(front), ShardErrors: shardErrs,
-	}
-	if req.DeadlineS > 0 {
-		if p, ok := pareto.MinEnergyWithinDeadline(points, req.DeadlineS); ok {
-			pj := wireByCfg[p.Cfg]
-			sum.Deadline = &pj
-		}
-	}
-	if req.BudgetJ > 0 {
-		if p, ok := pareto.MinTimeWithinBudget(points, req.BudgetJ); ok {
-			pj := wireByCfg[p.Cfg]
-			sum.Budget = &pj
-		}
-	}
-	frags := make([][]byte, len(front))
-	var simS, energyJ float64
-	for i, p := range front {
-		pj := wireByCfg[p.Cfg]
-		frags[i] = mustJSON(pj)
-		simS += pj.TimeS
-		energyJ += pj.EnergyJ
-	}
-	g.applyAttribution(w, "/v1/sweep", len(front), simS, energyJ)
-	writeSpliced(w, r, mustJSON(sum), "frontier", "point", frags)
-}
-
-// evalChunk evaluates one contiguous slice of the sweep space on one
-// shard via /v1/batch, returning the points (exact catalogue frequencies,
-// wire-parsed objectives) in chunk order plus their wire forms for
-// rendering.
-func (g *Gateway) evalChunk(r *http.Request, peer string, req sweepRequest, class string, chunk []machine.Config) ([]pareto.Point, []predictionJSON, error) {
-	tuples := make([]batchTuple, len(chunk))
-	for i, cfg := range chunk {
-		tuples[i] = batchTuple{
-			System: req.System, Program: req.Program,
-			Nodes: cfg.Nodes, Cores: cfg.Cores, FreqGHz: cfg.Freq / 1e9,
-		}
-	}
-	sub := mustJSON(batchRequest{Class: class, Engine: req.Engine, Workers: req.Workers, Tuples: tuples})
-	raw, _, err := g.post(r, peer, "/v1/batch", sub, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	var parsed struct {
-		Results []predictionJSON `json:"results"`
-	}
-	if err := json.Unmarshal(raw, &parsed); err != nil {
-		return nil, nil, fmt.Errorf("shard %s: unparseable answer: %w", peer, err)
-	}
-	if len(parsed.Results) != len(chunk) {
-		return nil, nil, fmt.Errorf("shard %s: %d results for %d configs", peer, len(parsed.Results), len(chunk))
-	}
-	// A chunk enumerates distinct configs in canonical order, so the
-	// shard's canonical response order is the chunk order: zip by index.
-	pts := make([]pareto.Point, len(chunk))
-	for i, cfg := range chunk {
-		res := parsed.Results[i]
-		pts[i] = pareto.Point{Cfg: cfg, Pred: core.Prediction{
-			Cfg: cfg, T: res.TimeS, E: res.EnergyJ, UCR: res.UCR,
-		}}
-	}
-	return pts, parsed.Results, nil
-}
-
-// chunkConfigs cuts cfgs into up to n contiguous, near-equal chunks
-// (never empty ones).
-func chunkConfigs(cfgs []machine.Config, n int) [][]machine.Config {
-	if n > len(cfgs) {
-		n = len(cfgs)
-	}
-	if n < 1 {
-		n = 1
-	}
-	chunks := make([][]machine.Config, 0, n)
-	for i := 0; i < n; i++ {
-		lo, hi := i*len(cfgs)/n, (i+1)*len(cfgs)/n
-		if lo < hi {
-			chunks = append(chunks, cfgs[lo:hi])
-		}
-	}
-	return chunks
-}
-
-// ---------------------------------------------------------------------
-// Response rendering — the same splice shapes the replicas produce.
-
-// writeSpliced writes the merged answer as the canonical JSON document
-// or, when the client asked, as NDJSON lines (one item per line, summary
-// last) — mirroring the replicas' spliceResponse shapes byte-for-byte.
-func writeSpliced(w http.ResponseWriter, r *http.Request, sum []byte, listKey, itemKey string, frags [][]byte) {
-	if !wantStream(r) {
-		w.Header().Set("Content-Type", "application/json")
-		var body bytes.Buffer
-		body.Write(sum[:len(sum)-1])
-		body.WriteString(`,"` + listKey + `":[`)
-		for i, f := range frags {
-			if i > 0 {
-				body.WriteByte(',')
-			}
-			body.Write(f)
-		}
-		body.WriteString("]}\n")
-		w.Write(body.Bytes())
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	for i, f := range frags {
-		fmt.Fprintf(w, `{"type":%q,%q:%s}`+"\n", itemKey, itemKey, f)
-		if flusher != nil && (i+1)%32 == 0 {
-			flusher.Flush()
-		}
-	}
-	w.Write([]byte(`{"type":"summary",`))
-	w.Write(sum[1:])
-	w.Write([]byte{'\n'})
-	if flusher != nil {
-		flusher.Flush()
-	}
 }

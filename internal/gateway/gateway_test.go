@@ -24,7 +24,7 @@ func quiet() *slog.Logger {
 // newShard boots one real hybridperfd replica on an httptest listener.
 // All shards share seed 42, so their answers are bit-identical — the
 // property every merge test leans on.
-func newShard(t *testing.T) (*telemetry.Server, *httptest.Server) {
+func newShard(t testing.TB) (*telemetry.Server, *httptest.Server) {
 	t.Helper()
 	s := telemetry.NewServer(telemetry.Config{
 		Workers:       2,
@@ -40,7 +40,7 @@ func newShard(t *testing.T) (*telemetry.Server, *httptest.Server) {
 
 // newCluster boots n shards (clustered among themselves, as deployed)
 // and a gateway fronting them.
-func newCluster(t *testing.T, n int) (*Gateway, *httptest.Server, []*httptest.Server) {
+func newCluster(t testing.TB, n int) (*Gateway, *httptest.Server, []*httptest.Server) {
 	t.Helper()
 	shards := make([]*httptest.Server, n)
 	servers := make([]*telemetry.Server, n)
@@ -63,7 +63,7 @@ func newCluster(t *testing.T, n int) (*Gateway, *httptest.Server, []*httptest.Se
 	return g, gts, shards
 }
 
-func post(t *testing.T, url, body string, hdr map[string]string) (*http.Response, []byte) {
+func post(t testing.TB, url, body string, hdr map[string]string) (*http.Response, []byte) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(body))
 	if err != nil {
@@ -284,6 +284,46 @@ func TestPredictFailsOver(t *testing.T) {
 	}
 	if string(viaGateway) != string(direct) {
 		t.Errorf("failover prediction differs from direct:\ngateway: %s\ndirect:  %s", viaGateway, direct)
+	}
+}
+
+// TestSweepFailsOver: a sweep names one model key, so it routes to the
+// key's owner and fails over along the ring like a point request. With
+// the owner killed the next replica answers in full — byte-identical to
+// a single daemon, no shard_errors — and with every replica down the
+// gateway answers 503 with a Retry-After hint.
+func TestSweepFailsOver(t *testing.T) {
+	g, gts, shards := newCluster(t, 2)
+	_, single := newShard(t)
+
+	body := `{"system":"arm","program":"CP","class":"S","pow2":true,"deadline_s":1e9}`
+	owner := g.ring.Owner(cluster.ModelKey("arm", "CP"))
+	for _, ts := range shards {
+		if ts.URL == owner {
+			ts.Close()
+		}
+	}
+	resp, viaGateway := post(t, gts.URL+"/v1/sweep", body, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("failover sweep: status %d: %s", resp.StatusCode, viaGateway)
+	}
+	_, direct := post(t, single.URL+"/v1/sweep", body, nil)
+	if string(viaGateway) != string(direct) {
+		t.Errorf("failover sweep differs from single-daemon sweep:\ngateway: %s\ndirect:  %s", viaGateway, direct)
+	}
+	if bytes.Contains(viaGateway, []byte("shard_errors")) {
+		t.Errorf("failover sweep carries shard_errors: %s", viaGateway)
+	}
+
+	for _, ts := range shards {
+		ts.Close()
+	}
+	resp, raw := post(t, gts.URL+"/v1/sweep", body, nil)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("all replicas down: status %d, want 503: %s", resp.StatusCode, raw)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("503 without Retry-After")
 	}
 }
 

@@ -26,6 +26,22 @@ func (g *Gateway) applyAttribution(w http.ResponseWriter, route string, preds in
 	h.Set(telemetry.PredictionsHeader, strconv.Itoa(preds))
 	h.Set(telemetry.SimSecondsHeader, strconv.FormatFloat(simS, 'g', -1, 64))
 	h.Set(telemetry.EnergyHeader, strconv.FormatFloat(energyJ, 'g', -1, 64))
+	g.countAttribution(route, preds, simS, energyJ)
+}
+
+// countRelayed adds a relayed answer's cost headers, which the client
+// receives verbatim, to the gateway's per-route aggregate series.
+func (g *Gateway) countRelayed(route string, hdr http.Header) {
+	preds, err := strconv.Atoi(hdr.Get(telemetry.PredictionsHeader))
+	if err != nil || preds < 0 {
+		return
+	}
+	simS, _ := strconv.ParseFloat(hdr.Get(telemetry.SimSecondsHeader), 64)
+	energyJ, _ := strconv.ParseFloat(hdr.Get(telemetry.EnergyHeader), 64)
+	g.countAttribution(route, preds, simS, energyJ)
+}
+
+func (g *Gateway) countAttribution(route string, preds int, simS, energyJ float64) {
 	g.mPreds.With(route).Add(uint64(preds))
 	g.mSimS.With(route).Add(simS)
 	g.mEnergy.With(route).Add(energyJ)

@@ -53,7 +53,7 @@ func keyOwnedBy(t *testing.T, peers []string, owner string) (string, string) {
 		t.Fatal(err)
 	}
 	for _, sys := range []string{"xeon", "arm"} {
-		for _, prog := range []string{"SP", "CP", "LB"} {
+		for _, prog := range []string{"SP", "CP", "LB", "LU", "BT", "FT"} {
 			if ring.Owner(cluster.ModelKey(sys, prog)) == owner {
 				return sys, prog
 			}

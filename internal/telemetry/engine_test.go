@@ -1,15 +1,101 @@
 package telemetry
 
 import (
+	"bytes"
+	"context"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
+	"hybridperf/internal/characterize"
 	"hybridperf/internal/exec"
+	"hybridperf/internal/machine"
+	"hybridperf/internal/workload"
 )
+
+// lockedBuffer is a log sink safe to read while handlers write to it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestCharacterizedLogCountsOwnCampaign: two cold campaigns that run at
+// the same time each log exactly their own engine counts — the ones the
+// same campaign reports when run alone — not a delta of the shared
+// engine that also counts the other campaign's simulations.
+func TestCharacterizedLogCountsOwnCampaign(t *testing.T) {
+	logs := &lockedBuffer{}
+	s := NewServer(Config{Workers: 2, Seed: 42, Logger: slog.New(slog.NewTextHandler(logs, nil))})
+	s.SetReady(true)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	// Both campaigns start only once both have been admitted, so each
+	// runs while the other publishes into the shared engine.
+	var arrived sync.WaitGroup
+	arrived.Add(2)
+	s.charTestHook = func(ctx context.Context, key modelKey) error {
+		arrived.Done()
+		arrived.Wait()
+		return nil
+	}
+	keys := [][2]string{{"xeon", "SP"}, {"arm", "CP"}}
+	var wg sync.WaitGroup
+	for _, k := range keys {
+		wg.Add(1)
+		go func(sys, prog string) {
+			defer wg.Done()
+			body := fmt.Sprintf(`{"system":%q,"program":%q,"class":"S","nodes":1,"cores":1}`, sys, prog)
+			resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("%s/%s predict: status %d", sys, prog, resp.StatusCode)
+			}
+		}(k[0], k[1])
+	}
+	wg.Wait()
+
+	for _, k := range keys {
+		prof, err := machine.ByName(k[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := workload.ByName(k[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone, err := characterize.Run(prof, spec, characterize.Options{Seed: 42, Workers: 2, Metrics: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := regexp.MustCompile(`msg=characterized system=` + k[0] + ` program=` + k[1] + ` .*`).FindString(logs.String())
+		want := fmt.Sprintf("engine_events=%d mpi_messages=%d", alone.Metrics.Events, alone.Metrics.Messages)
+		if !strings.HasSuffix(line, want) {
+			t.Errorf("%s/%s characterized line %q, want the campaign's own %s", k[0], k[1], line, want)
+		}
+	}
+}
 
 // TestPredictEngineField: "engine":"sequential" is accepted and runs the
 // cold characterisation on the one engine, feeding the shared counters;

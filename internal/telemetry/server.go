@@ -412,9 +412,8 @@ var errSaturated = errors.New("admission slots saturated")
 // model returns the cached model for (system, program), characterising it
 // on first use with the server's collectors attached: every simulation
 // publishes its tally into the shared engine counters and feeds the span
-// recorder, and the campaign logs one line with the engine's event delta
-// over the campaign (which includes any other run that finished
-// meanwhile). ctx cancels an in-flight characterisation mid-simulation
+// recorder, and the campaign logs one line with its own engine counts.
+// ctx cancels an in-flight characterisation mid-simulation
 // (client disconnect, request timeout). Concurrent cold requests for one key collapse into a single
 // campaign.
 //
@@ -489,6 +488,7 @@ func (s *Server) model(ctx context.Context, key modelKey, admitted bool) (*model
 			Seed:          s.cfg.Seed,
 			Workers:       s.cfg.Workers,
 			Ctx:           ctx,
+			Metrics:       true,
 			SharedMetrics: s.engine,
 			Observe:       s.spans.Observer("exec"),
 		}
@@ -496,7 +496,6 @@ func (s *Server) model(ctx context.Context, key modelKey, admitted bool) (*model
 			opts.PhaseTrace = rt.AttachPhases
 		}
 		start := time.Now()
-		pre := s.engine.Snapshot()
 		sum, err := characterize.Run(prof, spec, opts)
 		if err != nil {
 			e.err = fmt.Errorf("characterize %s/%s: %w", key.system, key.program, err)
@@ -510,19 +509,18 @@ func (s *Server) model(ctx context.Context, key modelKey, admitted bool) (*model
 		end := time.Now()
 		s.spans.Observe("model", fmt.Sprintf("characterize %s/%s", key.system, key.program),
 			start, end, nil)
-		delta := s.engine.Snapshot().Sub(pre)
 		if rt != nil {
 			rt.AddSpan("model", fmt.Sprintf("characterize %s/%s", key.system, key.program), start, end)
 		}
-		annotate(ctx, slog.Uint64("engine_events", delta.Events))
+		annotate(ctx, slog.Uint64("engine_events", sum.Metrics.Events))
 		s.mChar.With(key.system, key.program).Inc()
 		s.mModels.With().Inc()
 		s.log.LogAttrs(context.Background(), slog.LevelInfo, "characterized",
 			slog.String("system", key.system),
 			slog.String("program", key.program),
 			slog.Duration("duration", end.Sub(start)),
-			slog.Uint64("engine_events", delta.Events),
-			slog.Uint64("mpi_messages", delta.Messages))
+			slog.Uint64("engine_events", sum.Metrics.Events),
+			slog.Uint64("mpi_messages", sum.Metrics.Messages))
 		// Persist before publishing: if the process dies between here and
 		// ready, the next boot warm-loads the snapshot instead of losing
 		// the campaign.
