@@ -20,6 +20,7 @@ import (
 
 	"hybridperf/internal/core"
 	"hybridperf/internal/des"
+	"hybridperf/internal/des/destest"
 	"hybridperf/internal/exec"
 	"hybridperf/internal/experiments"
 	"hybridperf/internal/machine"
@@ -150,14 +151,15 @@ func BenchmarkCharacterize(b *testing.B) {
 }
 
 // BenchmarkDESEvents measures raw kernel throughput (events/sec) to size
-// simulation budgets.
+// simulation budgets: two processes ticking in lockstep, so every advance
+// is a dispatched event. One op is one event.
 func BenchmarkDESEvents(b *testing.B) {
 	k := des.NewKernel()
-	k.Spawn("ticker", func(p *des.Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Advance(1)
-		}
-	})
+	for _, name := range []string{"tick", "tock"} {
+		k.Spawn(name, destest.Script(destest.Repeat(b.N/2, destest.Advance(1))))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
 	if err := k.Run(math.Inf(1)); err != nil {
 		b.Fatal(err)
 	}

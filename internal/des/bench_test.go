@@ -5,15 +5,47 @@ import (
 	"testing"
 )
 
-// BenchmarkAdvance measures the per-event cost of a lone process stepping
-// virtual time — the kernel's best case (empty queue ahead).
+// advancer advances dt, n times.
+type advancer struct {
+	n  int
+	dt float64
+}
+
+func (m *advancer) Step(p *Proc) bool {
+	for m.n > 0 {
+		m.n--
+		if !p.AdvanceArm(m.dt) {
+			return false
+		}
+	}
+	return true
+}
+
+// pingPong wakes its halted partner and halts itself, n times, then wakes
+// the partner one last time and finishes.
+type pingPong struct {
+	partner *Proc
+	n       int
+}
+
+func (m *pingPong) Step(p *Proc) bool {
+	if m.partner.halted {
+		m.partner.Wake()
+	}
+	if m.n == 0 {
+		return true
+	}
+	m.n--
+	p.HaltArm()
+	return false
+}
+
+// BenchmarkAdvance measures the per-step cost of a lone process stepping
+// virtual time — the kernel's best case: every advance takes the
+// lookahead fast path and dispatches no event.
 func BenchmarkAdvance(b *testing.B) {
 	k := NewKernel()
-	k.Spawn("ticker", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Advance(1)
-		}
-	})
+	k.Spawn("ticker", &advancer{n: b.N, dt: 1})
 	b.ReportAllocs()
 	b.ResetTimer()
 	if err := k.Run(math.Inf(1)); err != nil {
@@ -23,28 +55,13 @@ func BenchmarkAdvance(b *testing.B) {
 
 // BenchmarkHaltWake measures the immediate-dispatch path: two processes
 // handing control back and forth at the same virtual instant, the pattern
-// of condition broadcasts, barrier releases and resource hand-offs.
+// of condition broadcasts, region joins and resource hand-offs. One op is
+// one wake and one dispatch.
 func BenchmarkHaltWake(b *testing.B) {
 	k := NewKernel()
-	var ping, pong *Proc
-	k.Spawn("ping", func(p *Proc) {
-		ping = p
-		p.Halt() // until pong is registered
-		for i := 0; i < b.N; i++ {
-			pong.Wake()
-			p.Halt()
-		}
-		pong.Wake()
-	})
-	k.Spawn("pong", func(p *Proc) {
-		pong = p
-		ping.Wake()
-		p.Halt()
-		for i := 0; i < b.N; i++ {
-			ping.Wake()
-			p.Halt()
-		}
-	})
+	ping, pong := &pingPong{n: b.N / 2}, &pingPong{n: b.N / 2}
+	pong.partner = k.Spawn("ping", ping)
+	ping.partner = k.Spawn("pong", pong)
 	b.ReportAllocs()
 	b.ResetTimer()
 	if err := k.Run(math.Inf(1)); err != nil {
@@ -54,18 +71,15 @@ func BenchmarkHaltWake(b *testing.B) {
 
 // BenchmarkManyProcs measures heap-bound throughput: 256 concurrent
 // processes with staggered delays keep the event queue deep, so every
-// Advance pays the full priority-queue cost.
+// advance pays the full priority-queue cost. One op is one dispatched
+// event.
 func BenchmarkManyProcs(b *testing.B) {
 	const procs = 256
 	k := NewKernel()
 	perProc := b.N/procs + 1
 	for i := 0; i < procs; i++ {
-		d := 1 + float64(i)/procs // distinct periods keep the heap busy
-		k.Spawn("p", func(p *Proc) {
-			for j := 0; j < perProc; j++ {
-				p.Advance(d)
-			}
-		})
+		// Distinct periods keep the heap busy.
+		k.Spawn("p", &advancer{n: perProc, dt: 1 + float64(i)/procs})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

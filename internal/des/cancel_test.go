@@ -4,8 +4,37 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 )
+
+// ticker is a Machine that advances dt(i) for i = 0..n-1, calling before(i)
+// (when set) ahead of each advance; done counts completed advances.
+type ticker struct {
+	n, done int
+	dt      func(i int) float64
+	before  func(i int)
+	armed   bool
+}
+
+func (m *ticker) Step(p *Proc) bool {
+	for m.done < m.n {
+		if !m.armed {
+			if m.before != nil {
+				m.before(m.done)
+			}
+			m.armed = true
+			if !p.AdvanceArm(m.dt(m.done)) {
+				return false
+			}
+		}
+		m.armed = false
+		m.done++
+	}
+	return true
+}
+
+func unit(int) float64 { return 1 }
 
 // TestRunPreCancelledContext: a context cancelled before Run stops the
 // run at the upfront check — no process body ever executes, and the
@@ -13,7 +42,7 @@ import (
 func TestRunPreCancelledContext(t *testing.T) {
 	k := NewKernel()
 	ran := false
-	k.Spawn("p", func(p *Proc) { ran = true })
+	k.Spawn("p", &ticker{n: 1, dt: unit, before: func(int) { ran = true }})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	k.SetContext(ctx)
@@ -40,38 +69,30 @@ func TestCancelStopsEventDispatch(t *testing.T) {
 	defer cancel()
 	k := NewKernel()
 	k.SetContext(ctx)
-	steps := 0
-	k.Spawn("a", func(p *Proc) {
-		for i := 0; i < total; i++ {
-			if i == 10 {
-				cancel()
-			}
-			p.Advance(1)
-			steps++
+	a := &ticker{n: total, dt: unit, before: func(i int) {
+		if i == 10 {
+			cancel()
 		}
-	})
-	k.Spawn("b", func(p *Proc) {
-		for i := 0; i < total; i++ {
-			p.Advance(1)
-		}
-	})
+	}}
+	k.Spawn("a", a)
+	k.Spawn("b", &ticker{n: total, dt: unit})
 	err := k.Run(math.Inf(1))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run() = %v, want context.Canceled", err)
 	}
-	if steps >= total {
+	if a.done >= total {
 		t.Fatalf("process completed all %d steps despite cancellation", total)
 	}
 	// The poll runs every ctxPollInterval steps, so the overshoot past
 	// the cancel point is bounded.
-	if steps > 10+2*ctxPollInterval {
-		t.Fatalf("run continued for %d steps after cancelling at step 10", steps)
+	if a.done > 10+2*ctxPollInterval {
+		t.Fatalf("run continued for %d steps after cancelling at step 10", a.done)
 	}
 }
 
 // TestCancelStopsLookaheadFastPath pins the single-process case: a lone
 // compute loop advances through the lookahead fast path and dispatches
-// almost no events, so the poll must ride Advance itself for the
+// almost no events, so the poll must ride AdvanceArm itself for the
 // cancellation to land.
 func TestCancelStopsLookaheadFastPath(t *testing.T) {
 	const total = 100 * ctxPollInterval
@@ -79,22 +100,18 @@ func TestCancelStopsLookaheadFastPath(t *testing.T) {
 	defer cancel()
 	k := NewKernel()
 	k.SetContext(ctx)
-	steps := 0
-	k.Spawn("solo", func(p *Proc) {
-		for i := 0; i < total; i++ {
-			if i == 10 {
-				cancel()
-			}
-			p.Advance(1)
-			steps++
+	solo := &ticker{n: total, dt: unit, before: func(i int) {
+		if i == 10 {
+			cancel()
 		}
-	})
+	}}
+	k.Spawn("solo", solo)
 	err := k.Run(math.Inf(1))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run() = %v, want context.Canceled", err)
 	}
-	if steps > 10+2*ctxPollInterval {
-		t.Fatalf("fast path ran %d steps after cancelling at step 10", steps)
+	if solo.done > 10+2*ctxPollInterval {
+		t.Fatalf("fast path ran %d steps after cancelling at step 10", solo.done)
 	}
 }
 
@@ -108,12 +125,7 @@ func TestUncancelledContextBitIdentical(t *testing.T) {
 			k.SetContext(ctx)
 		}
 		for i := 0; i < 4; i++ {
-			i := i
-			k.Spawn("p", func(p *Proc) {
-				for s := 0; s < 3000; s++ {
-					p.Advance(float64(1 + (i+s)%7))
-				}
-			})
+			k.Spawn("p", &ticker{n: 3000, dt: func(s int) float64 { return float64(1 + (i+s)%7) }})
 		}
 		if err := k.Run(math.Inf(1)); err != nil {
 			t.Fatal(err)
@@ -144,29 +156,28 @@ func TestSetContextBackgroundDisablesPolling(t *testing.T) {
 	}
 }
 
-// TestCancelledRunReapsGoroutines: after a cancelled run plus Shutdown,
-// every process goroutine (including parked pool daemons) must be done.
+// TestCancelledRunReapsGoroutines: a cancelled run — pooled runners
+// included — leaves no goroutine behind, because the kernel never starts
+// one for a simulated process.
 func TestCancelledRunReapsGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	k := NewKernel()
 	k.SetContext(ctx)
-	k.Spawn("worker", func(p *Proc) {
-		for i := 0; ; i++ {
-			if i == 5 {
-				cancel()
-			}
-			k.Go("task", func(tp *Proc, _ any) { tp.Advance(1) }, nil)
-			p.Advance(2)
+	k.Spawn("worker", &ticker{n: math.MaxInt, dt: func(int) float64 { return 2 }, before: func(i int) {
+		if i == 5 {
+			cancel()
 		}
-	})
+		k.Go("task", &ticker{n: 1, dt: unit})
+	}})
 	if err := k.Run(math.Inf(1)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run() = %v, want context.Canceled", err)
 	}
-	k.Shutdown()
-	for _, p := range k.procs {
-		if !p.done {
-			t.Fatalf("process %q still live after cancelled run + Shutdown", p.name)
-		}
+	if k.Procs() < 2 {
+		t.Fatalf("%d processes spawned, want the worker plus pooled runners", k.Procs())
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("%d goroutines after the cancelled run, %d before", got, before)
 	}
 }

@@ -1,27 +1,29 @@
-package des
+package des_test
 
 import (
 	"math"
 	"testing"
+
+	"hybridperf/internal/des"
+	"hybridperf/internal/des/destest"
 )
 
 func TestCondBroadcastWakesAll(t *testing.T) {
-	k := NewKernel()
-	var c Cond
+	k := des.NewKernel()
+	var c des.Cond
 	woken := 0
 	for i := 0; i < 4; i++ {
-		k.Spawn("waiter", func(p *Proc) {
-			c.Wait(p)
-			woken++
-		})
+		k.Spawn("waiter", destest.Script(
+			destest.Arm(func(p *des.Proc) bool { c.WaitArm(p); return false }),
+			destest.Do(func(*des.Proc) { woken++ }),
+		))
 	}
-	k.Spawn("caster", func(p *Proc) {
-		p.Advance(1)
+	k.Spawn("caster", destest.Script(destest.Advance(1), destest.Do(func(*des.Proc) {
 		if c.Waiting() != 4 {
 			t.Errorf("Waiting() = %d, want 4", c.Waiting())
 		}
 		c.Broadcast()
-	})
+	})))
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -34,88 +36,22 @@ func TestCondBroadcastWakesAll(t *testing.T) {
 }
 
 func TestCondPredicateLoop(t *testing.T) {
-	k := NewKernel()
-	var c Cond
+	k := des.NewKernel()
+	var c des.Cond
 	value := 0
 	var got int
-	k.Spawn("consumer", func(p *Proc) {
-		for value < 3 {
-			c.Wait(p)
-		}
-		got = value
-	})
-	k.Spawn("producer", func(p *Proc) {
-		for i := 1; i <= 3; i++ {
-			p.Advance(1)
-			value = i
-			c.Broadcast()
-		}
-	})
+	k.Spawn("consumer", destest.Script(
+		destest.Await(&c, func() bool { return value >= 3 }),
+		destest.Do(func(*des.Proc) { got = value }),
+	))
+	k.Spawn("producer", destest.Script(destest.Repeat(3,
+		destest.Advance(1),
+		destest.Do(func(*des.Proc) { value++; c.Broadcast() }),
+	)))
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
 	if got != 3 {
 		t.Fatalf("consumer saw %d, want 3", got)
-	}
-}
-
-func TestBarrierSynchronizes(t *testing.T) {
-	k := NewKernel()
-	b := NewBarrier(3)
-	var release []float64
-	lastCount := 0
-	for i := 0; i < 3; i++ {
-		d := float64(i) * 2 // arrive at 0, 2, 4
-		k.Spawn("party", func(p *Proc) {
-			p.Advance(d)
-			if b.Await(p) {
-				lastCount++
-			}
-			release = append(release, p.Now())
-		})
-	}
-	if err := k.Run(math.Inf(1)); err != nil {
-		t.Fatal(err)
-	}
-	if lastCount != 1 {
-		t.Fatalf("last-arrival count = %d, want 1", lastCount)
-	}
-	for _, r := range release {
-		if r != 4 {
-			t.Fatalf("release times %v, want all 4", release)
-		}
-	}
-}
-
-func TestBarrierReusable(t *testing.T) {
-	k := NewKernel()
-	b := NewBarrier(2)
-	if b.Party() != 2 {
-		t.Fatalf("Party() = %d", b.Party())
-	}
-	rounds := make([][]float64, 2)
-	for i := 0; i < 2; i++ {
-		i := i
-		k.Spawn("party", func(p *Proc) {
-			for round := 0; round < 3; round++ {
-				p.Advance(float64(i + 1)) // different paces
-				b.Await(p)
-				rounds[i] = append(rounds[i], p.Now())
-			}
-		})
-	}
-	if err := k.Run(math.Inf(1)); err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 3; r++ {
-		if rounds[0][r] != rounds[1][r] {
-			t.Fatalf("round %d released at %g vs %g", r, rounds[0][r], rounds[1][r])
-		}
-	}
-	// Slower party (pace 2) dictates: releases at 2, 4, 6.
-	for r, want := range []float64{2, 4, 6} {
-		if rounds[0][r] != want {
-			t.Fatalf("round %d at %g, want %g", r, rounds[0][r], want)
-		}
 	}
 }

@@ -1,4 +1,4 @@
-package des
+package des_test
 
 import (
 	"math"
@@ -6,32 +6,29 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"hybridperf/internal/des"
+	"hybridperf/internal/des/destest"
 )
 
+// record returns a step that appends s to *order.
+func record(order *[]string, s string) destest.Step {
+	return destest.Do(func(*des.Proc) { *order = append(*order, s) })
+}
+
 func TestAdvanceOrdersEvents(t *testing.T) {
-	k := NewKernel()
+	k := des.NewKernel()
 	var order []string
-	k.Spawn("b", func(p *Proc) {
-		p.Advance(2)
-		order = append(order, "b@2")
-	})
-	k.Spawn("a", func(p *Proc) {
-		p.Advance(1)
-		order = append(order, "a@1")
-		p.Advance(3)
-		order = append(order, "a@4")
-	})
+	k.Spawn("b", destest.Script(destest.Advance(2), record(&order, "b@2")))
+	k.Spawn("a", destest.Script(
+		destest.Advance(1), record(&order, "a@1"),
+		destest.Advance(3), record(&order, "a@4"),
+	))
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"a@1", "b@2", "a@4"}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
+	if got, want := strings.Join(order, " "), "a@1 b@2 a@4"; got != want {
+		t.Fatalf("order = %v, want %v", got, want)
 	}
 	if k.Now() != 4 {
 		t.Fatalf("Now() = %g, want 4", k.Now())
@@ -39,55 +36,42 @@ func TestAdvanceOrdersEvents(t *testing.T) {
 }
 
 func TestTieBreakBySpawnOrder(t *testing.T) {
-	k := NewKernel()
+	k := des.NewKernel()
 	var order []string
 	for _, name := range []string{"p0", "p1", "p2"} {
-		name := name
-		k.Spawn(name, func(p *Proc) {
-			p.Advance(1) // all wake at t=1
-			order = append(order, name)
-		})
+		k.Spawn(name, destest.Script(destest.Advance(1), record(&order, name))) // all wake at t=1
 	}
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
-	for i, name := range []string{"p0", "p1", "p2"} {
-		if order[i] != name {
-			t.Fatalf("tie-break order %v, want spawn order", order)
-		}
+	if got := strings.Join(order, " "); got != "p0 p1 p2" {
+		t.Fatalf("tie-break order %v, want spawn order", got)
 	}
 }
 
 func TestNegativeAndNaNAdvance(t *testing.T) {
-	k := NewKernel()
-	k.Spawn("p", func(p *Proc) {
-		p.Advance(-5)
-		if p.Now() != 0 {
-			t.Errorf("negative advance moved clock to %g", p.Now())
-		}
-		p.Advance(math.NaN())
-		if p.Now() != 0 {
-			t.Errorf("NaN advance moved clock to %g", p.Now())
-		}
-	})
+	k := des.NewKernel()
+	atZero := func(what string) destest.Step {
+		return destest.Do(func(p *des.Proc) {
+			if p.Now() != 0 {
+				t.Errorf("%s advance moved clock to %g", what, p.Now())
+			}
+		})
+	}
+	k.Spawn("p", destest.Script(
+		destest.Advance(-5), atZero("negative"),
+		destest.Advance(math.NaN()), atZero("NaN"),
+	))
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestHaltAndWake(t *testing.T) {
-	k := NewKernel()
+	k := des.NewKernel()
 	var woken float64
-	var target *Proc
-	k.Spawn("sleeper", func(p *Proc) {
-		target = p
-		p.Halt()
-		woken = p.Now()
-	})
-	k.Spawn("waker", func(p *Proc) {
-		p.Advance(5)
-		target.Wake()
-	})
+	target := k.Spawn("sleeper", destest.Script(destest.Halt(), destest.Do(func(p *des.Proc) { woken = p.Now() })))
+	k.Spawn("waker", destest.Script(destest.Advance(5), destest.Do(func(*des.Proc) { target.Wake() })))
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -97,16 +81,11 @@ func TestHaltAndWake(t *testing.T) {
 }
 
 func TestWakeNonHaltedPanics(t *testing.T) {
-	k := NewKernel()
-	var first *Proc
-	k.Spawn("a", func(p *Proc) {
-		first = p
-		p.Advance(1)
-	})
-	k.Spawn("b", func(p *Proc) {
-		first.Wake() // first has a pending wake event, not halted
-	})
-	// The panic unwinds process "b"; Run reports it as a failure.
+	k := des.NewKernel()
+	first := k.Spawn("a", destest.Script(destest.Advance(1)))
+	// first has a pending wake event, not halted.
+	k.Spawn("b", destest.Script(destest.Do(func(*des.Proc) { first.Wake() })))
+	// The panic retires process "b"; Run reports it as a failure.
 	err := k.Run(math.Inf(1))
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("Run() = %v, want panic failure", err)
@@ -114,13 +93,13 @@ func TestWakeNonHaltedPanics(t *testing.T) {
 }
 
 func TestDeadlockDetection(t *testing.T) {
-	k := NewKernel()
-	k.Spawn("stuck1", func(p *Proc) { p.Halt() })
-	k.Spawn("stuck2", func(p *Proc) { p.Halt() })
+	k := des.NewKernel()
+	k.Spawn("stuck1", destest.Script(destest.Halt()))
+	k.Spawn("stuck2", destest.Script(destest.Halt()))
 	err := k.Run(math.Inf(1))
-	de, ok := err.(*DeadlockError)
+	de, ok := err.(*des.DeadlockError)
 	if !ok {
-		t.Fatalf("Run() = %v, want *DeadlockError", err)
+		t.Fatalf("Run() = %v, want *des.DeadlockError", err)
 	}
 	if len(de.Procs) != 2 {
 		t.Fatalf("deadlocked procs = %v, want 2", de.Procs)
@@ -131,16 +110,9 @@ func TestDeadlockDetection(t *testing.T) {
 }
 
 func TestPanicPropagation(t *testing.T) {
-	k := NewKernel()
-	k.Spawn("boom", func(p *Proc) {
-		p.Advance(1)
-		panic("kaboom")
-	})
-	k.Spawn("bystander", func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			p.Advance(1)
-		}
-	})
+	k := des.NewKernel()
+	k.Spawn("boom", destest.Script(destest.Advance(1), destest.Do(func(*des.Proc) { panic("kaboom") })))
+	k.Spawn("bystander", destest.Script(destest.Repeat(100, destest.Advance(1))))
 	err := k.Run(math.Inf(1))
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("Run() = %v, want propagated panic", err)
@@ -151,14 +123,11 @@ func TestPanicPropagation(t *testing.T) {
 }
 
 func TestRunUntilHorizon(t *testing.T) {
-	k := NewKernel()
+	k := des.NewKernel()
 	steps := 0
-	k.Spawn("ticker", func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.Advance(1)
-			steps++
-		}
-	})
+	k.Spawn("ticker", destest.Script(destest.Repeat(10,
+		destest.Advance(1), destest.Do(func(*des.Proc) { steps++ }),
+	)))
 	if err := k.Run(3.5); err != nil {
 		t.Fatal(err)
 	}
@@ -175,34 +144,28 @@ func TestRunUntilHorizon(t *testing.T) {
 }
 
 func TestDeterministicInterleaving(t *testing.T) {
-	trace := func(seed int64) []string {
-		k := NewKernel()
+	trace := func(seed int64) string {
+		k := des.NewKernel()
 		rng := rand.New(rand.NewSource(seed))
 		var out []string
 		for i := 0; i < 5; i++ {
 			name := string(rune('a' + i))
-			delays := make([]float64, 20)
-			for j := range delays {
-				delays[j] = rng.Float64()
+			var steps []destest.Step
+			for j := 0; j < 20; j++ {
+				steps = append(steps, destest.Advance(rng.Float64()), record(&out, name))
 			}
-			k.Spawn(name, func(p *Proc) {
-				for _, d := range delays {
-					p.Advance(d)
-					out = append(out, name)
-				}
-			})
+			k.Spawn(name, destest.Script(steps...))
 		}
 		if err := k.Run(math.Inf(1)); err != nil {
 			t.Fatal(err)
 		}
-		return out
+		return strings.Join(out, "")
 	}
 	a, b := trace(42), trace(42)
-	if strings.Join(a, "") != strings.Join(b, "") {
+	if a != b {
 		t.Fatal("identical seeds produced different interleavings")
 	}
-	c := trace(43)
-	if strings.Join(a, "") == strings.Join(c, "") {
+	if c := trace(43); a == c {
 		t.Fatal("different seeds produced identical interleavings (suspicious)")
 	}
 }
@@ -217,20 +180,15 @@ func TestVirtualTimeMatchesSortedDelays(t *testing.T) {
 		for i := range delays {
 			delays[i] = rng.Float64() * 100
 		}
-		k := NewKernel()
+		k := des.NewKernel()
 		var done []float64
-		for i := 0; i < n; i++ {
-			d := delays[i]
-			k.Spawn("p", func(p *Proc) {
-				p.Advance(d)
+		for _, d := range delays {
+			k.Spawn("p", destest.Script(destest.Advance(d), destest.Do(func(p *des.Proc) {
 				done = append(done, p.Now())
-			})
+			})))
 		}
 		if err := k.Run(math.Inf(1)); err != nil {
 			t.Fatal(err)
-		}
-		if !sort.Float64sAreSorted(done) {
-			t.Fatalf("trial %d: completion times not sorted: %v", trial, done)
 		}
 		want := append([]float64(nil), delays...)
 		sort.Float64s(want)
@@ -243,16 +201,15 @@ func TestVirtualTimeMatchesSortedDelays(t *testing.T) {
 }
 
 func TestSpawnDuringRun(t *testing.T) {
-	k := NewKernel()
+	k := des.NewKernel()
 	var childTime float64
-	k.Spawn("parent", func(p *Proc) {
-		p.Advance(2)
-		k.Spawn("child", func(c *Proc) {
-			c.Advance(3)
-			childTime = c.Now()
-		})
-		p.Advance(10)
-	})
+	k.Spawn("parent", destest.Script(
+		destest.Advance(2),
+		destest.Do(func(*des.Proc) {
+			k.Spawn("child", destest.Script(destest.Advance(3), destest.Do(func(c *des.Proc) { childTime = c.Now() })))
+		}),
+		destest.Advance(10),
+	))
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -262,15 +219,15 @@ func TestSpawnDuringRun(t *testing.T) {
 }
 
 func TestProcAccessors(t *testing.T) {
-	k := NewKernel()
-	k.Spawn("named", func(p *Proc) {
+	k := des.NewKernel()
+	k.Spawn("named", destest.Script(destest.Do(func(p *des.Proc) {
 		if p.Name() != "named" {
 			t.Errorf("Name() = %q", p.Name())
 		}
 		if p.Kernel() != k {
 			t.Error("Kernel() mismatch")
 		}
-	})
+	})))
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}

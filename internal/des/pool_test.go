@@ -1,55 +1,27 @@
-package des
+package des_test
 
 import (
 	"errors"
 	"math"
-	"runtime"
 	"testing"
-	"time"
+
+	"hybridperf/internal/des"
+	"hybridperf/internal/des/destest"
 )
 
-// TestStaleWakeSkipped schedules a process twice (as a racing double wake
-// would) and checks that only the latest schedule dispatches: the stale
-// event is popped and skipped, the process runs exactly once.
-func TestStaleWakeSkipped(t *testing.T) {
-	k := NewKernel()
-	runs := 0
-	var p *Proc
-	p = k.Spawn("sleeper", func(p *Proc) {
-		runs++
-		p.Halt()
-	})
-	// Superseding schedule: the Spawn event is still pending, so this
-	// invalidates it and only the new event may dispatch.
-	k.schedule(p, k.now)
-	if err := k.Run(1); err == nil {
-		t.Fatal("expected deadlock from the final Halt")
-	}
-	if runs != 1 {
-		t.Fatalf("process ran %d times, want exactly 1 (stale wake not skipped)", runs)
-	}
-	if got := k.Events(); got != 1 {
-		t.Fatalf("dispatched %d events, want 1 (stale event must not count)", got)
-	}
-}
-
 // TestGoReusesPooledRunner issues many sequential tasks through Kernel.Go
-// and checks they all run on one persistent runner goroutine instead of
-// spawning per task.
+// and checks they all run on one persistent pooled runner instead of
+// spawning a process per task.
 func TestGoReusesPooledRunner(t *testing.T) {
-	k := NewKernel()
-	defer k.Shutdown()
+	k := des.NewKernel()
 	const tasks = 100
 	ran := 0
-	k.Spawn("driver", func(p *Proc) {
-		for i := 0; i < tasks; i++ {
-			k.Go("task", func(tp *Proc, _ any) {
-				tp.Advance(1)
-				ran++
-			}, nil)
-			p.Advance(2) // task finishes before the next is issued
-		}
-	})
+	k.Spawn("driver", destest.Script(destest.Repeat(tasks,
+		destest.Do(func(*des.Proc) {
+			k.Go("task", destest.Script(destest.Advance(1), destest.Do(func(*des.Proc) { ran++ })))
+		}),
+		destest.Advance(2), // task finishes before the next is issued
+	)))
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +29,7 @@ func TestGoReusesPooledRunner(t *testing.T) {
 		t.Fatalf("ran %d tasks, want %d", ran, tasks)
 	}
 	if got := k.Procs(); got != 2 { // driver + one pooled runner
-		t.Fatalf("spawned %d process goroutines, want 2 (pool not reused)", got)
+		t.Fatalf("spawned %d processes, want 2 (pool not reused)", got)
 	}
 }
 
@@ -65,21 +37,20 @@ func TestGoReusesPooledRunner(t *testing.T) {
 // in flight at the same time each need a runner, and the pool retains them
 // for later reuse.
 func TestGoOverlappingTasksGrowPool(t *testing.T) {
-	k := NewKernel()
-	defer k.Shutdown()
-	k.Spawn("driver", func(p *Proc) {
-		for round := 0; round < 5; round++ {
+	k := des.NewKernel()
+	k.Spawn("driver", destest.Script(destest.Repeat(5,
+		destest.Do(func(*des.Proc) {
 			for i := 0; i < 4; i++ {
-				k.Go("task", func(tp *Proc, _ any) { tp.Advance(1) }, nil)
+				k.Go("task", destest.Script(destest.Advance(1)))
 			}
-			p.Advance(2) // all four finish before the next round
-		}
-	})
+		}),
+		destest.Advance(2), // all four finish before the next round
+	)))
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := k.Procs(); got != 5 { // driver + the 4 concurrent runners
-		t.Fatalf("spawned %d process goroutines, want 5", got)
+		t.Fatalf("spawned %d processes, want 5", got)
 	}
 }
 
@@ -87,20 +58,15 @@ func TestGoOverlappingTasksGrowPool(t *testing.T) {
 // only remaining processes are parked daemons completes, while a halted
 // non-daemon still deadlocks and the report names only the non-daemon.
 func TestDeadlockExcludesParkedDaemons(t *testing.T) {
-	k := NewKernel()
-	defer k.Shutdown()
-	k.SpawnDaemon("worker-daemon", func(p *Proc) {
-		for {
-			p.Halt()
-		}
-	})
+	k := des.NewKernel()
+	k.SpawnDaemon("worker-daemon", destest.Script(destest.Halt()))
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatalf("parked daemon must not hold the run open: %v", err)
 	}
 
-	k.Spawn("stuck", func(p *Proc) { p.Halt() })
+	k.Spawn("stuck", destest.Script(destest.Halt()))
 	err := k.Run(math.Inf(1))
-	var dl *DeadlockError
+	var dl *des.DeadlockError
 	if !errors.As(err, &dl) {
 		t.Fatalf("got %v, want DeadlockError", err)
 	}
@@ -111,71 +77,19 @@ func TestDeadlockExcludesParkedDaemons(t *testing.T) {
 
 // TestDeadlockIncludesBusyPooledRunner checks that a pooled runner halted
 // mid-task counts as deadlocked work: it holds an unfinished task even
-// though its goroutine is a daemon.
+// though the runner itself is a daemon.
 func TestDeadlockIncludesBusyPooledRunner(t *testing.T) {
-	k := NewKernel()
-	defer k.Shutdown()
-	k.Spawn("driver", func(p *Proc) {
-		k.Go("courier", func(tp *Proc, _ any) { tp.Halt() }, nil)
-		p.Advance(1)
-	})
+	k := des.NewKernel()
+	k.Spawn("driver", destest.Script(
+		destest.Do(func(*des.Proc) { k.Go("courier", destest.Script(destest.Halt())) }),
+		destest.Advance(1),
+	))
 	err := k.Run(math.Inf(1))
-	var dl *DeadlockError
+	var dl *des.DeadlockError
 	if !errors.As(err, &dl) {
 		t.Fatalf("got %v, want DeadlockError", err)
 	}
 	if len(dl.Procs) != 1 || dl.Procs[0] != "courier" {
 		t.Fatalf("deadlock names %v, want [courier]", dl.Procs)
-	}
-}
-
-// TestShutdownReapsParkedWorkers checks that Shutdown unwinds the
-// goroutines of parked pooled runners and daemons after a completed run.
-func TestShutdownReapsParkedWorkers(t *testing.T) {
-	before := runtime.NumGoroutine()
-	k := NewKernel()
-	k.SpawnDaemon("daemon", func(p *Proc) {
-		for {
-			p.Halt()
-		}
-	})
-	k.Spawn("driver", func(p *Proc) {
-		for i := 0; i < 8; i++ {
-			k.Go("task", func(tp *Proc, _ any) { tp.Advance(1) }, nil)
-		}
-		p.Advance(5)
-	})
-	if err := k.Run(math.Inf(1)); err != nil {
-		t.Fatal(err)
-	}
-	k.Shutdown()
-	k.Shutdown() // idempotent
-	for wait := 0; runtime.NumGoroutine() > before && wait < 100; wait++ {
-		time.Sleep(time.Millisecond) // exiting goroutines unwind asynchronously
-	}
-	if got := runtime.NumGoroutine(); got > before {
-		t.Fatalf("%d goroutines alive after Shutdown, want <= %d", got, before)
-	}
-}
-
-// TestShutdownAfterHorizonRun checks that Shutdown also reaps processes
-// that still hold pending events from a horizon-bounded run.
-func TestShutdownAfterHorizonRun(t *testing.T) {
-	before := runtime.NumGoroutine()
-	k := NewKernel()
-	k.Spawn("ticker", func(p *Proc) {
-		for {
-			p.Advance(1)
-		}
-	})
-	if err := k.Run(3); err != nil {
-		t.Fatal(err)
-	}
-	k.Shutdown()
-	for wait := 0; runtime.NumGoroutine() > before && wait < 100; wait++ {
-		time.Sleep(time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got > before {
-		t.Fatalf("%d goroutines alive after Shutdown, want <= %d", got, before)
 	}
 }

@@ -1,8 +1,9 @@
 package des
 
 // Resource models a single-server FCFS queueing station (a memory
-// controller, a network switch port, a NIC). Processes call Serve to queue
-// for the server, occupy it for a service duration, and release it. The
+// controller, a network switch port, a NIC). Processes queue for the
+// server (AcquireArm, AcquireDone), occupy it for a service duration and
+// release it (ServeDone, or Release when service is not accounted). The
 // resource keeps the aggregate statistics queueing theory predicts (waiting
 // time, utilisation) so simulations can be checked against closed forms.
 type Resource struct {
@@ -28,27 +29,7 @@ func NewResource(k *Kernel, name string) *Resource {
 // Name returns the resource label.
 func (r *Resource) Name() string { return r.name }
 
-// Serve queues the calling process for the server, holds the server for
-// service seconds, releases it, and returns the time spent waiting in the
-// queue (excluding service).
-func (r *Resource) Serve(p *Proc, service float64) (wait float64) {
-	wait = r.Acquire(p)
-	p.Advance(service)
-	r.ServeDone(service)
-	return wait
-}
-
-// Acquire queues the calling process and returns once it holds the server,
-// reporting the queueing delay. The caller must eventually call Release.
-func (r *Resource) Acquire(p *Proc) (wait float64) {
-	enq := r.k.now
-	if !r.AcquireArm(p) {
-		p.park() // woken by Release when granted
-	}
-	return r.AcquireDone(enq)
-}
-
-// AcquireArm begins a sequential acquire: it either grants the idle server
+// AcquireArm begins an acquire: it either grants the idle server
 // immediately (true) or enqueues p and halts it (false) — the calling
 // Machine must then yield; Release wakes it holding the server. Either way
 // the caller completes the acquire with AcquireDone once it runs holding
@@ -74,8 +55,7 @@ func (r *Resource) AcquireDone(enq float64) (wait float64) {
 }
 
 // ServeDone accounts the service time of a completed hold and releases the
-// server — the tail of Serve, split out for sequential Machines that
-// advance through the service themselves.
+// server.
 func (r *Resource) ServeDone(service float64) {
 	r.totalService += service
 	r.Release()
@@ -85,7 +65,12 @@ func (r *Resource) ServeDone(service float64) {
 func (r *Resource) Release() {
 	if len(r.queue) > 0 {
 		next := r.queue[0]
-		r.queue = r.queue[1:]
+		// Copy the queue down instead of reslicing past the head: a
+		// resliced backing array walks forward, so every later append
+		// would reallocate it.
+		n := copy(r.queue, r.queue[1:])
+		r.queue[n] = nil
+		r.queue = r.queue[:n]
 		// Server stays busy: hand-off is immediate.
 		next.Wake()
 		return

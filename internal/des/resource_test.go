@@ -1,22 +1,24 @@
-package des
+package des_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 
+	"hybridperf/internal/des"
+	"hybridperf/internal/des/destest"
 	"hybridperf/internal/queueing"
 )
 
 func TestResourceSerializes(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "srv")
+	k := des.NewKernel()
+	r := des.NewResource(k, "srv")
 	var finish []float64
 	for i := 0; i < 3; i++ {
-		k.Spawn("c", func(p *Proc) {
-			r.Serve(p, 2)
-			finish = append(finish, p.Now())
-		})
+		k.Spawn("c", destest.Script(
+			destest.Serve(r, 2, nil),
+			destest.Do(func(p *des.Proc) { finish = append(finish, p.Now()) }),
+		))
 	}
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
@@ -30,16 +32,15 @@ func TestResourceSerializes(t *testing.T) {
 }
 
 func TestResourceFCFSOrder(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "srv")
+	k := des.NewKernel()
+	r := des.NewResource(k, "srv")
 	var order []int
 	for i := 0; i < 5; i++ {
-		i := i
-		k.Spawn("c", func(p *Proc) {
-			p.Advance(float64(i) * 0.1) // arrive in index order
-			r.Serve(p, 1)
-			order = append(order, i)
-		})
+		k.Spawn("c", destest.Script(
+			destest.Advance(float64(i)*0.1), // arrive in index order
+			destest.Serve(r, 1, nil),
+			destest.Do(func(*des.Proc) { order = append(order, i) }),
+		))
 	}
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
@@ -52,14 +53,11 @@ func TestResourceFCFSOrder(t *testing.T) {
 }
 
 func TestResourceWaitAccounting(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "srv")
+	k := des.NewKernel()
+	r := des.NewResource(k, "srv")
 	waits := make([]float64, 3)
 	for i := 0; i < 3; i++ {
-		i := i
-		k.Spawn("c", func(p *Proc) {
-			waits[i] = r.Serve(p, 4)
-		})
+		k.Spawn("c", destest.Script(destest.Serve(r, 4, &waits[i])))
 	}
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
@@ -85,13 +83,13 @@ func TestResourceWaitAccounting(t *testing.T) {
 }
 
 func TestResourceUtilizationWithIdle(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "srv")
-	k.Spawn("c", func(p *Proc) {
-		r.Serve(p, 1)
-		p.Advance(3) // idle gap
-		r.Serve(p, 1)
-	})
+	k := des.NewKernel()
+	r := des.NewResource(k, "srv")
+	k.Spawn("c", destest.Script(
+		destest.Serve(r, 1, nil),
+		destest.Advance(3), // idle gap
+		destest.Serve(r, 1, nil),
+	))
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -101,13 +99,13 @@ func TestResourceUtilizationWithIdle(t *testing.T) {
 }
 
 func TestResourceReset(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "srv")
-	k.Spawn("c", func(p *Proc) {
-		r.Serve(p, 1)
-		r.Reset()
-		r.Serve(p, 2)
-	})
+	k := des.NewKernel()
+	r := des.NewResource(k, "srv")
+	k.Spawn("c", destest.Script(
+		destest.Serve(r, 1, nil),
+		destest.Do(func(*des.Proc) { r.Reset() }),
+		destest.Serve(r, 2, nil),
+	))
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -121,31 +119,54 @@ func TestResourceReset(t *testing.T) {
 }
 
 func TestAcquireReleaseHandoff(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "srv")
-	var got []float64
-	k.Spawn("holder", func(p *Proc) {
-		r.Acquire(p)
-		p.Advance(5)
-		r.Release()
-	})
-	k.Spawn("waiter", func(p *Proc) {
-		p.Advance(1)
-		w := r.Acquire(p)
-		got = append(got, w, p.Now())
-		r.Release()
-	})
+	k := des.NewKernel()
+	r := des.NewResource(k, "srv")
+	release := destest.Do(func(*des.Proc) { r.Release() })
+	var wait, grantedAt float64
+	k.Spawn("holder", destest.Script(destest.Acquire(r, nil), destest.Advance(5), release))
+	k.Spawn("waiter", destest.Script(
+		destest.Advance(1),
+		destest.Acquire(r, &wait),
+		destest.Do(func(p *des.Proc) { grantedAt = p.Now() }),
+		release,
+	))
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
-	if got[0] != 4 || got[1] != 5 {
-		t.Fatalf("waiter wait=%g granted at %g, want 4 at 5", got[0], got[1])
+	if wait != 4 || grantedAt != 5 {
+		t.Fatalf("waiter wait=%g granted at %g, want 4 at 5", wait, grantedAt)
 	}
 	if r.Busy() {
 		t.Fatal("resource still busy after all releases")
 	}
 	if r.QueueLen() != 0 {
 		t.Fatal("queue not drained")
+	}
+}
+
+// TestResourceQueueReusesBackingArray pins the copy-down pop in Release:
+// a queue that never holds more than a few waiters keeps one backing
+// array, so a long run of contended grants allocates nothing.
+func TestResourceQueueReusesBackingArray(t *testing.T) {
+	k := des.NewKernel()
+	r := des.NewResource(k, "srv")
+	for i := 0; i < 4; i++ {
+		k.Spawn("c", destest.Script(destest.Repeat(1000, destest.Serve(r, 1, nil))))
+	}
+	// Each call runs the next 500 s window: 500 grants with three waiters
+	// queued behind the holder.
+	horizon := 0.5
+	allocs := testing.AllocsPerRun(4, func() {
+		horizon += 500
+		if err := k.Run(horizon); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := r.Stats().Served; got != 2501 { // grants at t = 0, 1, ..., 2500
+		t.Fatalf("served %d after five windows, want 2501", got)
+	}
+	if allocs > 0 {
+		t.Fatalf("%v allocations per 500 contended grants, want 0", allocs)
 	}
 }
 
@@ -159,8 +180,8 @@ func TestMM1AgainstTheory(t *testing.T) {
 		service = 1.0
 		n       = 30000
 	)
-	k := NewKernel()
-	r := NewResource(k, "srv")
+	k := des.NewKernel()
+	r := des.NewResource(k, "srv")
 	rng := rand.New(rand.NewSource(99))
 	arrivals := make([]float64, n)
 	tArr := 0.0
@@ -173,11 +194,7 @@ func TestMM1AgainstTheory(t *testing.T) {
 		services[i] = rng.ExpFloat64() * service
 	}
 	for i := 0; i < n; i++ {
-		i := i
-		k.Spawn("job", func(p *Proc) {
-			p.Advance(arrivals[i])
-			r.Serve(p, services[i])
-		})
+		k.Spawn("job", destest.Script(destest.Advance(arrivals[i]), destest.Serve(r, services[i], nil)))
 	}
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
@@ -200,17 +217,13 @@ func TestMD1AgainstTheory(t *testing.T) {
 		service = 1.0
 		n       = 30000
 	)
-	k := NewKernel()
-	r := NewResource(k, "srv")
+	k := des.NewKernel()
+	r := des.NewResource(k, "srv")
 	rng := rand.New(rand.NewSource(5))
 	tArr := 0.0
 	for i := 0; i < n; i++ {
 		tArr += rng.ExpFloat64() / lambda
-		at := tArr
-		k.Spawn("job", func(p *Proc) {
-			p.Advance(at)
-			r.Serve(p, service)
-		})
+		k.Spawn("job", destest.Script(destest.Advance(tArr), destest.Serve(r, service, nil)))
 	}
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)

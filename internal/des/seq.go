@@ -2,19 +2,13 @@ package des
 
 import "fmt"
 
-// This file is the sequential process engine: the goroutine-free
-// counterpart of the spawn/park machinery in des.go. Processes are
-// explicit continuations (Machines) dispatched by one scheduler loop on
-// the Run caller's goroutine, eliminating the per-event channel handoff.
-//
-// Determinism is preserved by construction rather than by parallel
-// reimplementation: the sequential engine reuses the same schedule,
-// dispatchNext, queue structures and fast-path conditions as the goroutine
-// engine, so sequence-number consumption and dispatch order are identical.
-// Blocking decomposes into the Arm primitives (AdvanceArm, HaltArm,
-// Cond.WaitArm, Resource.AcquireArm) that the goroutine primitives are
-// themselves built on — the only difference is who suspends: a goroutine
-// parks, a Machine returns false to the scheduler loop.
+// This file is the process side of the kernel: Machines, spawning, the
+// pooled task runners and the scheduler loop that dispatches them. A
+// process is an explicit continuation stepped on the Run caller's
+// goroutine; blocking decomposes into the Arm primitives (AdvanceArm,
+// HaltArm, Cond.WaitArm, Resource.AcquireArm), after which the Machine
+// returns false to the loop and is stepped again when its wake event is
+// dispatched.
 
 // Machine is the continuation form of a simulated process: Step resumes
 // the process and runs it until it either blocks on virtual time (false)
@@ -26,35 +20,21 @@ type Machine interface {
 	Step(p *Proc) bool
 }
 
-// NewSequentialKernel returns an empty kernel running the sequential
-// engine: processes must be Machines spawned with SpawnSeq,
-// SpawnDaemonSeq or GoSeq, and the goroutine-style blocking primitives
-// panic. Results are bit-for-bit identical to NewKernel for equivalent
-// process bodies.
-func NewSequentialKernel() *Kernel {
-	return &Kernel{seqMode: true}
+// Spawn registers m as a new simulated process that becomes runnable at
+// the current virtual time.
+func (k *Kernel) Spawn(name string, m Machine) *Proc {
+	return k.spawn(name, false, m)
 }
 
-// Sequential reports whether the kernel runs the sequential engine.
-func (k *Kernel) Sequential() bool { return k.seqMode }
-
-// SpawnSeq registers m as a new simulated process that becomes runnable at
-// the current virtual time — the sequential counterpart of Spawn.
-func (k *Kernel) SpawnSeq(name string, m Machine) *Proc {
-	return k.spawnSeq(name, false, m)
+// SpawnDaemon is Spawn for service processes that outlive the workload
+// they serve (persistent worker-pool threads). Daemons do not count toward
+// liveness, so a run whose only remaining processes are parked daemons
+// completes instead of reporting a deadlock.
+func (k *Kernel) SpawnDaemon(name string, m Machine) *Proc {
+	return k.spawn(name, true, m)
 }
 
-// SpawnDaemonSeq is SpawnSeq for service processes excluded from
-// liveness/deadlock accounting — the sequential counterpart of
-// SpawnDaemon.
-func (k *Kernel) SpawnDaemonSeq(name string, m Machine) *Proc {
-	return k.spawnSeq(name, true, m)
-}
-
-func (k *Kernel) spawnSeq(name string, daemon bool, m Machine) *Proc {
-	if !k.seqMode {
-		panic("des: SpawnSeq on a goroutine kernel (use Spawn)")
-	}
+func (k *Kernel) spawn(name string, daemon bool, m Machine) *Proc {
 	p := &Proc{k: k, name: name, daemon: daemon, body: m}
 	k.procs = append(k.procs, p)
 	if !daemon {
@@ -64,15 +44,12 @@ func (k *Kernel) spawnSeq(name string, daemon bool, m Machine) *Proc {
 	return p
 }
 
-// GoSeq runs m as a short-lived simulated process drawn from the kernel's
-// pooled runners — the sequential counterpart of Go, with identical pool
-// reuse (LIFO), busy accounting and metrics, so both engines consume the
-// same sequence numbers per task. m must be ready for its first Step and
-// self-reset on completion if it is ever reused.
-func (k *Kernel) GoSeq(name string, m Machine) {
-	if !k.seqMode {
-		panic("des: GoSeq on a goroutine kernel (use Go)")
-	}
+// Go runs m as a short-lived simulated process drawn from the kernel's
+// pooled runners: the first calls spawn fresh daemon runners, later calls
+// reuse parked ones (LIFO), so steady-state task dispatch allocates
+// nothing. m must be ready for its first Step and self-reset on
+// completion if it is ever reused.
+func (k *Kernel) Go(name string, m Machine) {
 	k.busyGo++
 	if k.mx != nil {
 		if len(k.pool) > 0 {
@@ -85,24 +62,26 @@ func (k *Kernel) GoSeq(name string, m Machine) {
 		p := k.pool[n-1]
 		k.pool = k.pool[:n-1]
 		p.name = name
-		p.seqTask = m
+		p.task = m
 		p.Wake()
 		return
 	}
-	p := k.spawnSeq(name, true, nil)
+	p := k.spawn(name, true, nil)
 	p.pooled = true
-	p.seqTask = m
+	p.task = m
 }
 
-// runSeq is the sequential engine's Run: one scheduler loop dispatching
-// continuations until the queue drains, the horizon is reached, or a
-// failure is recorded. Dispatch classification mirrors the goroutine
-// engine where the notion transfers: a dispatch that resumes the process
-// that just yielded is a self-dispatch (the same condition under which the
-// goroutine engine's park returns without a handoff); every other dispatch
-// is a scheduler dispatch. Handoffs never occur — there is no second
-// goroutine to hand control to.
-func (k *Kernel) runSeq(until float64) error {
+// Run executes events until the event queue is empty, a process fails, or
+// the virtual clock would exceed until (use math.Inf(1) for no horizon).
+// It returns the first process failure, a *DeadlockError if live processes
+// remain halted with nothing scheduled, or nil. Parked daemon processes do
+// not hold a run open, but pooled runners still executing a task count as
+// deadlocked work. A horizon-limited run leaves the queue intact, and a
+// later Run resumes it.
+//
+// A dispatch that resumes the process that stepped last is counted as a
+// self-dispatch; every other dispatch is a scheduler dispatch.
+func (k *Kernel) Run(until float64) error {
 	k.horizon = until
 	if k.ctx != nil && k.failure == nil {
 		if err := k.ctx.Err(); err != nil {
@@ -122,18 +101,16 @@ func (k *Kernel) runSeq(until float64) error {
 				k.mx.SchedulerDispatches++
 			}
 		}
-		k.stepSeq(next)
+		k.step(next)
 		prev = next
 	}
 	return k.finish()
 }
 
-// stepSeq resumes one continuation for a single dispatch. Pooled runners
-// mirror the goroutine task-runner loop: a completed task returns the
-// runner to the pool and halts it for reuse. A panicking Step is recorded
-// as the run failure with the process retired, exactly as the goroutine
-// wrapper does.
-func (k *Kernel) stepSeq(p *Proc) {
+// step resumes one continuation for a single dispatch. A pooled runner
+// whose task completes returns to the pool, halted for reuse. A panicking
+// Step is recorded as the run failure, with the process retired.
+func (k *Kernel) step(p *Proc) {
 	defer func() {
 		if r := recover(); r != nil {
 			if k.failure == nil {
@@ -146,8 +123,8 @@ func (k *Kernel) stepSeq(p *Proc) {
 		}
 	}()
 	if p.pooled {
-		if p.seqTask.Step(p) {
-			p.seqTask = nil
+		if p.task.Step(p) {
+			p.task = nil
 			k.busyGo--
 			k.pool = append(k.pool, p)
 			p.HaltArm()

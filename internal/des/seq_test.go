@@ -8,6 +8,10 @@ import (
 	"testing"
 )
 
+// The tests in this file drive the kernel with hand-written continuations
+// (explicit program counters and fallthrough), the form production
+// Machines take; the other test files use destest scripts.
+
 // stepper adapts a closure (holding its state in captured variables) to a
 // Machine, the way a hand-written continuation would.
 type stepper struct{ f func(p *Proc) bool }
@@ -15,10 +19,10 @@ type stepper struct{ f func(p *Proc) bool }
 func (s *stepper) Step(p *Proc) bool { return s.f(p) }
 
 func TestSeqAdvanceOrdersEvents(t *testing.T) {
-	k := NewSequentialKernel()
+	k := NewKernel()
 	var order []string
 	bPC := 0
-	k.SpawnSeq("b", &stepper{func(p *Proc) bool {
+	k.Spawn("b", &stepper{func(p *Proc) bool {
 		switch bPC {
 		case 0:
 			bPC = 1
@@ -32,7 +36,7 @@ func TestSeqAdvanceOrdersEvents(t *testing.T) {
 		}
 	}})
 	aPC := 0
-	k.SpawnSeq("a", &stepper{func(p *Proc) bool {
+	k.Spawn("a", &stepper{func(p *Proc) bool {
 		switch aPC {
 		case 0:
 			aPC = 1
@@ -70,12 +74,12 @@ func TestSeqAdvanceOrdersEvents(t *testing.T) {
 }
 
 func TestSeqTieBreakBySpawnOrder(t *testing.T) {
-	k := NewSequentialKernel()
+	k := NewKernel()
 	var order []string
 	for _, name := range []string{"p0", "p1", "p2"} {
 		name := name
 		pc := 0
-		k.SpawnSeq(name, &stepper{func(p *Proc) bool {
+		k.Spawn(name, &stepper{func(p *Proc) bool {
 			switch pc {
 			case 0:
 				pc = 1
@@ -102,10 +106,10 @@ func TestSeqTieBreakBySpawnOrder(t *testing.T) {
 // TestSeqHaltAndWake: HaltArm parks a machine off the queue until another
 // machine wakes it, and the sleeper resumes at the waker's virtual time.
 func TestSeqHaltAndWake(t *testing.T) {
-	k := NewSequentialKernel()
+	k := NewKernel()
 	wokeAt := -1.0
 	slept := false
-	sleeper := k.SpawnSeq("sleeper", &stepper{func(p *Proc) bool {
+	sleeper := k.Spawn("sleeper", &stepper{func(p *Proc) bool {
 		if !slept {
 			slept = true
 			p.HaltArm()
@@ -115,7 +119,7 @@ func TestSeqHaltAndWake(t *testing.T) {
 		return true
 	}})
 	wPC := 0
-	k.SpawnSeq("waker", &stepper{func(p *Proc) bool {
+	k.Spawn("waker", &stepper{func(p *Proc) bool {
 		switch wPC {
 		case 0:
 			wPC = 1
@@ -137,14 +141,14 @@ func TestSeqHaltAndWake(t *testing.T) {
 }
 
 // TestSeqCondWaitArm: WaitArm queues a machine on a condition until a
-// broadcast, the continuation form of the Cond.Wait/Broadcast pair.
+// broadcast.
 func TestSeqCondWaitArm(t *testing.T) {
-	k := NewSequentialKernel()
+	k := NewKernel()
 	var c Cond
 	ready := false
 	var observed []float64
 	for i := 0; i < 3; i++ {
-		k.SpawnSeq("waiter", &stepper{func(p *Proc) bool {
+		k.Spawn("waiter", &stepper{func(p *Proc) bool {
 			for !ready { // the usual predicate loop, re-armed per resumption
 				c.WaitArm(p)
 				return false
@@ -154,7 +158,7 @@ func TestSeqCondWaitArm(t *testing.T) {
 		}})
 	}
 	sPC := 0
-	k.SpawnSeq("signaller", &stepper{func(p *Proc) bool {
+	k.Spawn("signaller", &stepper{func(p *Proc) bool {
 		switch sPC {
 		case 0:
 			sPC = 1
@@ -181,10 +185,11 @@ func TestSeqCondWaitArm(t *testing.T) {
 	}
 }
 
-// TestSeqGoReusesPooledRunner mirrors TestGoReusesPooledRunner: strictly
-// sequential GoSeq tasks must share one pooled runner process.
+// TestSeqGoReusesPooledRunner is TestGoReusesPooledRunner with
+// hand-written continuations: strictly sequential Go tasks must share one
+// pooled runner process.
 func TestSeqGoReusesPooledRunner(t *testing.T) {
-	k := NewSequentialKernel()
+	k := NewKernel()
 	const tasks = 100
 	ran := 0
 	newTask := func() Machine {
@@ -204,11 +209,11 @@ func TestSeqGoReusesPooledRunner(t *testing.T) {
 		}}
 	}
 	i, dPC := 0, 0
-	k.SpawnSeq("driver", &stepper{func(p *Proc) bool {
+	k.Spawn("driver", &stepper{func(p *Proc) bool {
 		for i < tasks {
 			switch dPC {
 			case 0:
-				k.GoSeq("task", newTask())
+				k.Go("task", newTask())
 				dPC = 1
 				if !p.AdvanceArm(2) { // task finishes before the next is issued
 					return false
@@ -233,9 +238,9 @@ func TestSeqGoReusesPooledRunner(t *testing.T) {
 }
 
 func TestSeqDeadlockDetection(t *testing.T) {
-	k := NewSequentialKernel()
+	k := NewKernel()
 	for _, name := range []string{"stuck1", "stuck2"} {
-		k.SpawnSeq(name, &stepper{func(p *Proc) bool {
+		k.Spawn(name, &stepper{func(p *Proc) bool {
 			p.HaltArm()
 			return false
 		}})
@@ -254,9 +259,9 @@ func TestSeqDeadlockDetection(t *testing.T) {
 }
 
 func TestSeqPanicBecomesRunFailure(t *testing.T) {
-	k := NewSequentialKernel()
+	k := NewKernel()
 	bPC := 0
-	k.SpawnSeq("boom", &stepper{func(p *Proc) bool {
+	k.Spawn("boom", &stepper{func(p *Proc) bool {
 		switch bPC {
 		case 0:
 			bPC = 1
@@ -269,7 +274,7 @@ func TestSeqPanicBecomesRunFailure(t *testing.T) {
 		}
 	}})
 	i := 0
-	k.SpawnSeq("bystander", &stepper{func(p *Proc) bool {
+	k.Spawn("bystander", &stepper{func(p *Proc) bool {
 		for i < 100 {
 			i++
 			if !p.AdvanceArm(1) {
@@ -288,9 +293,9 @@ func TestSeqPanicBecomesRunFailure(t *testing.T) {
 }
 
 func TestSeqRunUntilHorizonAndResume(t *testing.T) {
-	k := NewSequentialKernel()
+	k := NewKernel()
 	steps := 0
-	k.SpawnSeq("ticker", &stepper{func(p *Proc) bool {
+	k.Spawn("ticker", &stepper{func(p *Proc) bool {
 		for steps < 10 {
 			if !p.AdvanceArm(1) {
 				return false
@@ -313,12 +318,12 @@ func TestSeqRunUntilHorizonAndResume(t *testing.T) {
 	}
 }
 
-// TestSeqPreCancelledContext: the upfront cancellation check holds on the
-// sequential engine — no machine ever steps.
+// TestSeqPreCancelledContext: the upfront cancellation check holds for
+// hand-written machines too — no machine ever steps.
 func TestSeqPreCancelledContext(t *testing.T) {
-	k := NewSequentialKernel()
+	k := NewKernel()
 	ran := false
-	k.SpawnSeq("p", &stepper{func(p *Proc) bool { ran = true; return true }})
+	k.Spawn("p", &stepper{func(p *Proc) bool { ran = true; return true }})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	k.SetContext(ctx)
@@ -338,10 +343,10 @@ func TestSeqCancelStopsDispatch(t *testing.T) {
 	const total = 100 * ctxPollInterval
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	k := NewSequentialKernel()
+	k := NewKernel()
 	k.SetContext(ctx)
 	steps := 0
-	k.SpawnSeq("a", &stepper{func(p *Proc) bool {
+	k.Spawn("a", &stepper{func(p *Proc) bool {
 		for steps < total {
 			if steps == 10 {
 				cancel()
@@ -354,7 +359,7 @@ func TestSeqCancelStopsDispatch(t *testing.T) {
 		return true
 	}})
 	i := 0
-	k.SpawnSeq("b", &stepper{func(p *Proc) bool {
+	k.Spawn("b", &stepper{func(p *Proc) bool {
 		for i < total {
 			i++
 			if !p.AdvanceArm(1) {
@@ -375,37 +380,27 @@ func TestSeqCancelStopsDispatch(t *testing.T) {
 	}
 }
 
-// TestSeqEngineGuards: the two engines reject each other's spawn and
-// blocking primitives loudly rather than corrupting the schedule.
-func TestSeqEngineGuards(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	seq := NewSequentialKernel()
-	mustPanic("Spawn on sequential kernel", func() { seq.Spawn("p", func(p *Proc) {}) })
-	mustPanic("Go on sequential kernel", func() { seq.Go("t", func(p *Proc, _ any) {}, nil) })
-	gor := NewKernel()
-	mustPanic("SpawnSeq on goroutine kernel", func() { gor.SpawnSeq("p", &stepper{func(p *Proc) bool { return true }}) })
-	mustPanic("GoSeq on goroutine kernel", func() { gor.GoSeq("t", &stepper{func(p *Proc) bool { return true }}) })
-}
-
-// TestSeqGoroutineBlockingFailsLoudly: a Machine that calls a
-// goroutine-style blocking primitive (here Advance forced onto its slow
-// path) must turn into a recorded run failure naming the Arm rule, not a
-// silent hang.
-func TestSeqGoroutineBlockingFailsLoudly(t *testing.T) {
-	k := NewSequentialKernel()
-	k.SpawnSeq("old-style", &stepper{func(p *Proc) bool {
-		p.Advance(20) // beyond the horizon: cannot take the lookahead fast path
-		return true
+// TestStaleWakeSkipped schedules a process twice (as a racing double wake
+// would) and checks that only the latest schedule dispatches: the stale
+// event is popped and skipped, the process runs exactly once.
+func TestStaleWakeSkipped(t *testing.T) {
+	k := NewKernel()
+	runs := 0
+	p := k.Spawn("sleeper", &stepper{func(p *Proc) bool {
+		runs++
+		p.HaltArm()
+		return false
 	}})
-	err := k.Run(10)
-	if err == nil || !strings.Contains(err.Error(), "Arm primitives") {
-		t.Fatalf("Run() = %v, want a failure naming the Arm primitives", err)
+	// Superseding schedule: the Spawn event is still pending, so this
+	// invalidates it and only the new event may dispatch.
+	k.schedule(p, k.now)
+	if err := k.Run(1); err == nil {
+		t.Fatal("expected deadlock from the final halt")
+	}
+	if runs != 1 {
+		t.Fatalf("process ran %d times, want exactly 1 (stale wake not skipped)", runs)
+	}
+	if got := k.Events(); got != 1 {
+		t.Fatalf("dispatched %d events, want 1 (stale event must not count)", got)
 	}
 }

@@ -9,19 +9,48 @@ import (
 	"hybridperf/internal/workload"
 )
 
-// BenchmarkRun measures one validation-size direct measurement (SP at the
-// characterisation class on the largest validation configuration) — the
-// unit of work every experiment artifact and sweep repeats thousands of
-// times. ns/op and allocs/op for this fixture are gated in CI against the
-// sequential-engine reference in BENCH_3.json.
-func BenchmarkRun(b *testing.B) {
-	req := Request{
+// runFixture is one validation-size direct measurement: SP at the
+// characterisation class on the largest validation configuration.
+func runFixture() Request {
+	return Request{
 		Prof:  machine.XeonE5(),
 		Spec:  workload.SP(),
 		Class: workload.ClassS,
 		Cfg:   machine.Config{Nodes: 8, Cores: 8, Freq: 1.8e9},
 		Seed:  1,
 	}
+}
+
+// governedFixture is runFixture under the phase-predictive DVFS governor
+// with rank 0's schedule recorded — the per-iteration unit of work behind
+// every /v1/advise policy evaluation.
+func governedFixture(tb testing.TB) Request {
+	req := runFixture()
+	var levels []float64
+	for _, f := range req.Prof.Frequencies {
+		if f <= req.Cfg.Freq {
+			levels = append(levels, f)
+		}
+	}
+	req.Governor = func(rank int) dvfs.Governor {
+		g, err := dvfs.NewPhasePredictive(levels, 0, dvfs.PhaseSample{}, 0.05)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if rank == 0 {
+			return &dvfs.ScheduleRecorder{G: g}
+		}
+		return g
+	}
+	return req
+}
+
+// BenchmarkRun measures runFixture — the unit of work every experiment
+// artifact and sweep repeats thousands of times. Its allocations are
+// pinned by TestRunAllocBudget; ns/op is gated in CI against the
+// sequential-engine reference in BENCH_3.json.
+func BenchmarkRun(b *testing.B) {
+	req := runFixture()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -31,38 +60,12 @@ func BenchmarkRun(b *testing.B) {
 	}
 }
 
-// BenchmarkRunGoverned is the BenchmarkRun fixture under the
-// phase-predictive DVFS governor with rank 0's schedule recorded — the
-// per-iteration unit of work behind every /v1/advise policy evaluation.
-// The gap to BenchmarkRun is the all-in price of the governed path:
-// the ObservePhases counter-delta hook, the EWMA frequency decision and
-// the transition recording. Gated in CI against BENCH_5.json.
+// BenchmarkRunGoverned measures governedFixture. The gap to BenchmarkRun
+// is the all-in price of the governed path: the ObservePhases
+// counter-delta hook, the EWMA frequency decision and the transition
+// recording. Gated in CI against BENCH_5.json.
 func BenchmarkRunGoverned(b *testing.B) {
-	prof := machine.XeonE5()
-	cfg := machine.Config{Nodes: 8, Cores: 8, Freq: 1.8e9}
-	var levels []float64
-	for _, f := range prof.Frequencies {
-		if f <= cfg.Freq {
-			levels = append(levels, f)
-		}
-	}
-	req := Request{
-		Prof:  prof,
-		Spec:  workload.SP(),
-		Class: workload.ClassS,
-		Cfg:   cfg,
-		Seed:  1,
-		Governor: func(rank int) dvfs.Governor {
-			g, err := dvfs.NewPhasePredictive(levels, 0, dvfs.PhaseSample{}, 0.05)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rank == 0 {
-				return &dvfs.ScheduleRecorder{G: g}
-			}
-			return g
-		},
-	}
+	req := governedFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -101,14 +104,8 @@ func BenchmarkSweep(b *testing.B) {
 // kernels count into their own tallies and publish once per run, so the
 // shared engine adds no cross-core contention to the ratio.
 func BenchmarkRunParallelShared(b *testing.B) {
-	req := Request{
-		Prof:          machine.XeonE5(),
-		Spec:          workload.SP(),
-		Class:         workload.ClassS,
-		Cfg:           machine.Config{Nodes: 8, Cores: 8, Freq: 1.8e9},
-		Seed:          1,
-		SharedMetrics: metrics.NewEngine(),
-	}
+	req := runFixture()
+	req.SharedMetrics = metrics.NewEngine()
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {

@@ -204,7 +204,7 @@ func Run(req Request) (*Result, error) {
 	}
 
 	root := rng.New(req.Seed)
-	k := des.NewSequentialKernel()
+	k := des.NewKernel()
 	k.SetContext(req.Ctx)
 	sw := simnet.New(k, req.Prof, req.Cfg.Nodes)
 
@@ -258,7 +258,7 @@ func Run(req Request) (*Result, error) {
 			return nil, err
 		}
 		ranks[i] = m
-		k.SpawnSeq(rankName(i), m)
+		k.Spawn(rankName(i), m)
 	}
 	if err := k.Run(math.Inf(1)); err != nil {
 		return nil, fmt.Errorf("exec: %s on %v: %w", req.Spec.Name, req.Cfg, err)

@@ -304,7 +304,7 @@ func TestRunMetricsPopulated(t *testing.T) {
 	if eng.Events != res.Engine.Events {
 		t.Fatalf("metrics events %d != engine stats %d", eng.Events, res.Engine.Events)
 	}
-	if got := eng.Handoffs + eng.SelfDispatches + eng.SchedulerDispatches; got != eng.Events {
+	if got := eng.SelfDispatches + eng.SchedulerDispatches; got != eng.Events {
 		t.Fatalf("dispatch classes sum to %d, want %d", got, eng.Events)
 	}
 	if eng.Regions == 0 || eng.Messages == 0 || eng.HeapHighWater == 0 {

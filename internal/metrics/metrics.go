@@ -170,10 +170,9 @@ func Quantile(buckets [HistBuckets]uint64, q float64) float64 {
 type Engine struct {
 	// Kernel dispatch accounting (see EngineSnapshot).
 	Events              Counter   // events dispatched by the kernel
-	Handoffs            Counter   // direct process-to-process handoffs
-	SelfDispatches      Counter   // park fast path: next event was the parker's own
-	SchedulerDispatches Counter   // dispatches performed by the Run caller
-	Lookaheads          Counter   // Advance fast path: clock moved, no event
+	SelfDispatches      Counter   // dispatches resuming the process that stepped last
+	SchedulerDispatches Counter   // dispatches switching to another process
+	Lookaheads          Counter   // AdvanceArm fast path: clock moved, no event
 	HeapHighWater       HighWater // deepest future-event heap observed
 
 	// Pooled task runners (Kernel.Go).
@@ -194,7 +193,6 @@ func NewEngine() *Engine { return &Engine{} }
 // Snapshot taken meanwhile may see a tally partly applied.
 func (e *Engine) Add(s EngineSnapshot) {
 	e.Events.Add(s.Events)
-	e.Handoffs.Add(s.Handoffs)
 	e.SelfDispatches.Add(s.SelfDispatches)
 	e.SchedulerDispatches.Add(s.SchedulerDispatches)
 	e.Lookaheads.Add(s.Lookaheads)
@@ -210,7 +208,6 @@ func (e *Engine) Add(s EngineSnapshot) {
 func (e *Engine) Snapshot() EngineSnapshot {
 	return EngineSnapshot{
 		Events:              e.Events.Load(),
-		Handoffs:            e.Handoffs.Load(),
 		SelfDispatches:      e.SelfDispatches.Load(),
 		SchedulerDispatches: e.SchedulerDispatches.Load(),
 		Lookaheads:          e.Lookaheads.Load(),
@@ -229,17 +226,15 @@ func (e *Engine) Snapshot() EngineSnapshot {
 // increments suffice — as well as a copy of an Engine's counters, and the
 // unit of aggregation across the runs of a sweep.
 type EngineSnapshot struct {
-	// Kernel dispatch accounting. Events = Handoffs + SelfDispatches +
-	// SchedulerDispatches: every dispatched event is classified by who
-	// performed the dispatch (a parking/exiting process handing control
-	// straight to the next process, the process itself via the park fast
-	// path, or the Run caller). Lookahead advances bypass the event queue
-	// entirely and are counted separately.
+	// Kernel dispatch accounting. Events = SelfDispatches +
+	// SchedulerDispatches: every dispatched event either resumes the
+	// process the scheduler loop stepped last or switches to another one.
+	// Lookahead advances bypass the event queue entirely and are counted
+	// separately.
 	Events              uint64 // events dispatched by the kernel
-	Handoffs            uint64 // direct process-to-process handoffs
-	SelfDispatches      uint64 // park fast path: next event was the parker's own
-	SchedulerDispatches uint64 // dispatches performed by the Run caller
-	Lookaheads          uint64 // Advance fast path: clock moved, no event
+	SelfDispatches      uint64 // dispatches resuming the process that stepped last
+	SchedulerDispatches uint64 // dispatches switching to another process
+	Lookaheads          uint64 // AdvanceArm fast path: clock moved, no event
 	HeapHighWater       uint64 // deepest future-event heap observed
 
 	// Pooled task runners (Kernel.Go).
@@ -269,7 +264,6 @@ func (s *EngineSnapshot) ObserveMessage(bytes uint64) {
 // the maximum.
 func (s *EngineSnapshot) Add(o EngineSnapshot) {
 	s.Events += o.Events
-	s.Handoffs += o.Handoffs
 	s.SelfDispatches += o.SelfDispatches
 	s.SchedulerDispatches += o.SchedulerDispatches
 	s.Lookaheads += o.Lookaheads
@@ -300,7 +294,6 @@ func (s EngineSnapshot) Sub(prev EngineSnapshot) EngineSnapshot {
 	}
 	d := EngineSnapshot{
 		Events:              sat(s.Events, prev.Events),
-		Handoffs:            sat(s.Handoffs, prev.Handoffs),
 		SelfDispatches:      sat(s.SelfDispatches, prev.SelfDispatches),
 		SchedulerDispatches: sat(s.SchedulerDispatches, prev.SchedulerDispatches),
 		Lookaheads:          sat(s.Lookaheads, prev.Lookaheads),
@@ -319,8 +312,8 @@ func (s EngineSnapshot) Sub(prev EngineSnapshot) EngineSnapshot {
 // String renders a compact multi-line human summary.
 func (s EngineSnapshot) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "events       %d dispatched (%d handoff, %d self, %d scheduler) + %d lookahead advances\n",
-		s.Events, s.Handoffs, s.SelfDispatches, s.SchedulerDispatches, s.Lookaheads)
+	fmt.Fprintf(&b, "events       %d dispatched (%d self, %d scheduler) + %d lookahead advances\n",
+		s.Events, s.SelfDispatches, s.SchedulerDispatches, s.Lookaheads)
 	fmt.Fprintf(&b, "event heap   %d deep at high water\n", s.HeapHighWater)
 	fmt.Fprintf(&b, "task pool    %d reuse hits, %d spawns\n", s.PoolHits, s.PoolSpawns)
 	fmt.Fprintf(&b, "omp          %d parallel regions\n", s.Regions)

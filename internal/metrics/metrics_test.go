@@ -98,16 +98,16 @@ func TestQuantile(t *testing.T) {
 }
 
 func TestEngineSnapshotSub(t *testing.T) {
-	a := EngineSnapshot{Events: 100, Handoffs: 40, HeapHighWater: 9, Messages: 12}
+	a := EngineSnapshot{Events: 100, PoolHits: 40, HeapHighWater: 9, Messages: 12}
 	a.MsgBytes[3] = 7
-	b := EngineSnapshot{Events: 30, Handoffs: 50, HeapHighWater: 4, Messages: 2}
+	b := EngineSnapshot{Events: 30, PoolHits: 50, HeapHighWater: 4, Messages: 2}
 	b.MsgBytes[3] = 2
 	d := a.Sub(b)
 	if d.Events != 70 || d.Messages != 10 || d.MsgBytes[3] != 5 {
 		t.Fatalf("delta wrong: %+v", d)
 	}
-	if d.Handoffs != 0 {
-		t.Fatalf("crossed counters must saturate at 0, got %d", d.Handoffs)
+	if d.PoolHits != 0 {
+		t.Fatalf("crossed counters must saturate at 0, got %d", d.PoolHits)
 	}
 	if d.HeapHighWater != 9 {
 		t.Fatalf("high water keeps the current value, got %d", d.HeapHighWater)
@@ -115,11 +115,11 @@ func TestEngineSnapshotSub(t *testing.T) {
 }
 
 func TestEngineSnapshotAdd(t *testing.T) {
-	a := EngineSnapshot{Events: 10, Handoffs: 4, HeapHighWater: 7, Messages: 2}
-	b := EngineSnapshot{Events: 5, Handoffs: 1, HeapHighWater: 3, Messages: 8}
+	a := EngineSnapshot{Events: 10, PoolHits: 4, HeapHighWater: 7, Messages: 2}
+	b := EngineSnapshot{Events: 5, PoolHits: 1, HeapHighWater: 3, Messages: 8}
 	b.MsgBytes[2] = 8
 	a.Add(b)
-	if a.Events != 15 || a.Handoffs != 5 || a.Messages != 10 {
+	if a.Events != 15 || a.PoolHits != 5 || a.Messages != 10 {
 		t.Fatalf("sums wrong: %+v", a)
 	}
 	if a.HeapHighWater != 7 {
@@ -203,7 +203,7 @@ func TestEngineConcurrentWriters(t *testing.T) {
 // TestEngineAddMatchesSnapshotAdd: publishing tallies into an Engine
 // aggregates exactly as summing the snapshots does.
 func TestEngineAddMatchesSnapshotAdd(t *testing.T) {
-	a := EngineSnapshot{Events: 10, Handoffs: 1, SelfDispatches: 2, SchedulerDispatches: 7,
+	a := EngineSnapshot{Events: 10, SelfDispatches: 3, SchedulerDispatches: 7,
 		Lookaheads: 5, HeapHighWater: 7, PoolHits: 3, PoolSpawns: 4, Regions: 6}
 	a.ObserveMessage(4096)
 	b := EngineSnapshot{Events: 5, SchedulerDispatches: 5, HeapHighWater: 9, Regions: 1}

@@ -1,8 +1,10 @@
 // Package mpi implements a message-passing runtime in simulated time: one
 // rank per node, eager non-blocking sends routed through the shared switch
 // (internal/simnet), cumulative-count receives, a recursive-doubling
-// allreduce and a small-message barrier. It is the substrate standing in
-// for the MPI-over-TCP stack of the paper's clusters.
+// allreduce (an 8-byte one is the barrier) and an all-to-all exchange. It
+// is the substrate standing in for the MPI-over-TCP stack of the paper's
+// clusters. The blocking operations are resumable ops (seq.go) that the
+// calling rank's des.Machine drives across blocks.
 //
 // The runtime doubles as the paper's mpiP profiler: every rank's message
 // count and volume are accounted, so the workload characterisation can
@@ -47,8 +49,8 @@ type Rank struct {
 
 	received  [numTags]int
 	cond      [numTags]des.Cond
-	reduceOps int              // completed Allreduce/Barrier operations
-	a2aOps    int              // completed Alltoall operations
+	reduceOps int              // completed allreduce operations (barriers included)
+	a2aOps    int              // completed all-to-all operations
 	seqRecv   [numTags][]int32 // per-round receipt counts, indexed by sequence
 
 	// mpiP-style accounting.
@@ -101,8 +103,9 @@ func (r *Rank) World() *World { return r.w }
 
 // Isend posts a non-blocking send of `bytes` to rank `to`. The message
 // queues at the switch (FCFS single server) and is delivered to the
-// destination's cumulative receive count for the tag. The sender's NIC is
-// active until the transfer completes; the sending process does not block.
+// destination's cumulative receive count for the tag, carried by a pooled
+// courier process. The sender's NIC is active until the transfer
+// completes; the sending process does not block.
 func (r *Rank) Isend(to int, bytes float64, tag Tag) { r.isend(to, bytes, tag, -1) }
 
 // isend is Isend with an optional collective-round sequence number
@@ -124,36 +127,20 @@ func (r *Rank) isend(to int, bytes float64, tag Tag, seq int) {
 	r.node.NetRef(1)
 	m := r.w.newMessage()
 	m.src, m.dst, m.bytes, m.tag, m.seq = r, r.w.ranks[to], bytes, tag, seq
-	if r.w.k.Sequential() {
-		m.op.Set(r.id, to, bytes)
-		r.w.k.GoSeq("mpi.msg", m)
-		return
-	}
-	r.w.k.Go("mpi.msg", courier, m)
+	m.op.Set(r.id, to, bytes)
+	r.w.k.Go("mpi.msg", m)
 }
 
 // message is the in-flight state of one eager send, drawn from the world's
-// free list so steady-state traffic allocates nothing. On the sequential
-// engine the record doubles as the courier Machine, carrying its transfer
-// continuation in op (see seq.go).
+// free list so steady-state traffic allocates nothing. The record doubles
+// as the courier Machine, carrying its transfer continuation in op (see
+// seq.go).
 type message struct {
 	src, dst *Rank
 	bytes    float64
 	tag      Tag
 	seq      int
 	op       simnet.TransferOp
-}
-
-// courier drives one message through the network on a pooled kernel
-// process: transfer, drop the sender's NIC reference, deliver, recycle.
-func courier(mp *des.Proc, ctx any) {
-	m := ctx.(*message)
-	w := m.src.w
-	w.net.Transfer(mp, m.src.id, m.dst.id, m.bytes)
-	m.src.node.NetRef(-1)
-	dst, tag, seq := m.dst, m.tag, m.seq
-	w.freeMessage(m)
-	dst.deliver(tag, seq)
 }
 
 // newMessage takes a message from the free list (or allocates the first
@@ -182,24 +169,6 @@ func (r *Rank) deliver(tag Tag, seq int) {
 	r.cond[tag].Broadcast()
 }
 
-// WaitCount blocks the rank's master process p until the cumulative number
-// of messages received with the given tag reaches target. Blocked time is
-// accounted as network wait on core 0 and keeps the NIC active.
-func (r *Rank) WaitCount(p *des.Proc, tag Tag, target int) {
-	if r.received[tag] >= target {
-		return
-	}
-	start := p.Now()
-	r.node.NetRef(1)
-	ws := r.node.NetWaitBegin(0)
-	for r.received[tag] < target {
-		r.cond[tag].Wait(p)
-	}
-	r.node.NetWaitEnd(0, ws)
-	r.node.NetRef(-1)
-	r.waitTime += p.Now() - start
-}
-
 // Received reports the cumulative receive count for a tag.
 func (r *Rank) Received(tag Tag) int { return r.received[tag] }
 
@@ -210,79 +179,6 @@ func ReduceRounds(n int) int {
 		return 0
 	}
 	return int(math.Ceil(math.Log2(float64(n))))
-}
-
-// Allreduce performs a ring-hypercube allreduce of `bytes` per message:
-// ceil(log2 n) rounds in which every rank sends to (id+2^k) mod n and
-// waits for one message — a permutation each round, so it cannot deadlock
-// for any world size. p must be the calling rank's master process.
-//
-// Each round is matched exactly by a sequence number (operation x round):
-// the round-k wait is satisfied only by the round-k message from
-// (id-2^k) mod n, which that rank sends only after completing its own
-// round k-1 — the dissemination-barrier dependency chain that makes the
-// operation a true global synchronisation for any world size. Every rank
-// must execute the same collective sequence (SPMD), as in MPI.
-func (r *Rank) Allreduce(p *des.Proc, bytes float64) {
-	n := r.w.Size()
-	if n == 1 {
-		return
-	}
-	rounds := ReduceRounds(n)
-	op := r.reduceOps
-	r.reduceOps++
-	for k := 0; k < rounds; k++ {
-		partner := (r.id + (1 << k)) % n
-		seq := op*rounds + k
-		r.isend(partner, bytes, TagReduce, seq)
-		r.waitSeq(p, TagReduce, seq)
-	}
-}
-
-// waitSeq blocks until one message with the given collective sequence
-// number has arrived on the tag, with the same NIC/idle accounting as
-// WaitCount.
-func (r *Rank) waitSeq(p *des.Proc, tag Tag, seq int) {
-	if r.seqGot(tag, seq) {
-		return
-	}
-	start := p.Now()
-	r.node.NetRef(1)
-	ws := r.node.NetWaitBegin(0)
-	for !r.seqGot(tag, seq) {
-		r.cond[tag].Wait(p)
-	}
-	r.node.NetWaitEnd(0, ws)
-	r.node.NetRef(-1)
-	r.waitTime += p.Now() - start
-}
-
-// Barrier synchronises all ranks using an 8-byte allreduce, which is how
-// MPI_Barrier costs out on an Ethernet cluster (latency-bound rounds).
-func (r *Rank) Barrier(p *des.Proc) { r.Allreduce(p, 8) }
-
-// Alltoall performs a personalised all-to-all exchange: every rank sends
-// `bytes` to each of the other n-1 ranks and waits for the n-1 messages
-// addressed to it, using a rotation schedule (step k sends to (id+k) mod
-// n, a permutation per step). Rank id's step-k receipt comes from
-// (id-k) mod n and is matched exactly by an (operation, step) sequence
-// number. All n-1 sends are posted eagerly before waiting, so the exchange
-// pipelines through the switch. Like Allreduce it is a synchronising
-// collective; every rank must call it the same number of times (SPMD).
-func (r *Rank) Alltoall(p *des.Proc, bytes float64) {
-	n := r.w.Size()
-	if n == 1 {
-		return
-	}
-	base := r.a2aOps * (n - 1)
-	r.a2aOps++
-	for step := 1; step < n; step++ {
-		dst := (r.id + step) % n
-		r.isend(dst, bytes, TagAll2All, base+step-1)
-	}
-	for step := 1; step < n; step++ {
-		r.waitSeq(p, TagAll2All, base+step-1)
-	}
 }
 
 // Profile is the mpiP-style communication summary of a run.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hybridperf/internal/des"
+	"hybridperf/internal/des/destest"
 	"hybridperf/internal/machine"
 	"hybridperf/internal/node"
 	"hybridperf/internal/simnet"
@@ -28,17 +29,38 @@ func run(t *testing.T, k *des.Kernel) {
 	}
 }
 
+// The runtime's operations as script steps.
+
+func isend(r *Rank, to int, bytes float64, tag Tag) destest.Step {
+	return destest.Do(func(*des.Proc) { r.Isend(to, bytes, tag) })
+}
+
+func waitCount(r *Rank, tag Tag, target int) destest.Step {
+	op := WaitCountOp{Tag: tag, Target: target}
+	return func(p *des.Proc) bool { return r.WaitCountStep(&op, p) }
+}
+
+func allreduce(r *Rank, bytes float64) destest.Step {
+	op := AllreduceOp{Bytes: bytes}
+	return func(p *des.Proc) bool { return r.AllreduceStep(&op, p) }
+}
+
+func alltoall(r *Rank, bytes float64) destest.Step {
+	op := AlltoallOp{Bytes: bytes}
+	return func(p *des.Proc) bool { return r.AlltoallStep(&op, p) }
+}
+
+// finishAt returns a step recording the process's current time in *at.
+func finishAt(at *float64) destest.Step {
+	return destest.Do(func(p *des.Proc) { *at = p.Now() })
+}
+
 func TestSendRecvDelivers(t *testing.T) {
 	k := des.NewKernel()
 	w, _ := cluster(k, 2)
 	var recvAt float64
-	k.Spawn("r0", func(p *des.Proc) {
-		w.Rank(0).Isend(1, 1<<20, TagHalo)
-	})
-	k.Spawn("r1", func(p *des.Proc) {
-		w.Rank(1).WaitCount(p, TagHalo, 1)
-		recvAt = p.Now()
-	})
+	k.Spawn("r0", destest.Script(isend(w.Rank(0), 1, 1<<20, TagHalo)))
+	k.Spawn("r1", destest.Script(waitCount(w.Rank(1), TagHalo, 1), finishAt(&recvAt)))
 	run(t, k)
 	want := machine.XeonE5().MsgServiceTime(1 << 20)
 	if math.Abs(recvAt-want) > 1e-12 {
@@ -49,36 +71,36 @@ func TestSendRecvDelivers(t *testing.T) {
 func TestWaitCountAlreadySatisfied(t *testing.T) {
 	k := des.NewKernel()
 	w, _ := cluster(k, 2)
-	k.Spawn("r0", func(p *des.Proc) { w.Rank(0).Isend(1, 8, TagHalo) })
-	k.Spawn("r1", func(p *des.Proc) {
-		p.Advance(1) // message long since delivered
-		start := p.Now()
-		w.Rank(1).WaitCount(p, TagHalo, 1)
-		if p.Now() != start {
-			t.Error("WaitCount blocked although the count was satisfied")
-		}
-	})
+	var start, end float64
+	k.Spawn("r0", destest.Script(isend(w.Rank(0), 1, 8, TagHalo)))
+	k.Spawn("r1", destest.Script(
+		destest.Advance(1), // message long since delivered
+		finishAt(&start),
+		waitCount(w.Rank(1), TagHalo, 1),
+		finishAt(&end),
+	))
 	run(t, k)
+	if end != start {
+		t.Error("WaitCount blocked although the count was satisfied")
+	}
 }
 
 func TestSelfSendImmediate(t *testing.T) {
 	k := des.NewKernel()
 	w, _ := cluster(k, 1)
-	k.Spawn("r0", func(p *des.Proc) {
-		r := w.Rank(0)
-		r.Isend(0, 1<<20, TagHalo)
-		r.WaitCount(p, TagHalo, 1)
-		if p.Now() != 0 {
-			t.Errorf("self-send took %g s, want 0 (shared memory)", p.Now())
-		}
-	})
+	end := -1.0
+	r := w.Rank(0)
+	k.Spawn("r0", destest.Script(isend(r, 0, 1<<20, TagHalo), waitCount(r, TagHalo, 1), finishAt(&end)))
 	run(t, k)
+	if end != 0 {
+		t.Errorf("self-send took %g s, want 0 (shared memory)", end)
+	}
 }
 
 func TestIsendInvalidRankPanics(t *testing.T) {
 	k := des.NewKernel()
 	w, _ := cluster(k, 2)
-	k.Spawn("r0", func(p *des.Proc) { w.Rank(0).Isend(5, 8, TagHalo) })
+	k.Spawn("r0", destest.Script(isend(w.Rank(0), 5, 8, TagHalo)))
 	if err := k.Run(math.Inf(1)); err == nil {
 		t.Fatal("Isend to invalid rank did not fail the run")
 	}
@@ -87,17 +109,19 @@ func TestIsendInvalidRankPanics(t *testing.T) {
 func TestTagsAreIndependent(t *testing.T) {
 	k := des.NewKernel()
 	w, _ := cluster(k, 2)
-	k.Spawn("r0", func(p *des.Proc) {
-		w.Rank(0).Isend(1, 8, TagReduce) // reduce traffic must not
-		w.Rank(0).Isend(1, 8, TagHalo)   // satisfy a halo wait
-	})
-	k.Spawn("r1", func(p *des.Proc) {
-		w.Rank(1).WaitCount(p, TagHalo, 1)
-		if w.Rank(1).Received(TagHalo) != 1 {
-			t.Error("halo count wrong")
-		}
-		w.Rank(1).WaitCount(p, TagReduce, 1)
-	})
+	k.Spawn("r0", destest.Script(
+		isend(w.Rank(0), 1, 8, TagReduce), // reduce traffic must not
+		isend(w.Rank(0), 1, 8, TagHalo),   // satisfy a halo wait
+	))
+	k.Spawn("r1", destest.Script(
+		waitCount(w.Rank(1), TagHalo, 1),
+		destest.Do(func(*des.Proc) {
+			if w.Rank(1).Received(TagHalo) != 1 {
+				t.Error("halo count wrong")
+			}
+		}),
+		waitCount(w.Rank(1), TagReduce, 1),
+	))
 	run(t, k)
 }
 
@@ -116,12 +140,11 @@ func TestAllreduceSynchronizesAllSizes(t *testing.T) {
 		w, _ := cluster(k, n)
 		finish := make([]float64, n)
 		for i := 0; i < n; i++ {
-			i := i
-			k.Spawn("r", func(p *des.Proc) {
-				p.Advance(float64(i) * 0.01) // skewed entry
-				w.Rank(i).Allreduce(p, 4096)
-				finish[i] = p.Now()
-			})
+			k.Spawn("r", destest.Script(
+				destest.Advance(float64(i)*0.01), // skewed entry
+				allreduce(w.Rank(i), 4096),
+				finishAt(&finish[i]),
+			))
 		}
 		run(t, k)
 		// Every rank must have sent and received rounds messages.
@@ -145,13 +168,10 @@ func TestRepeatedAllreduces(t *testing.T) {
 	k := des.NewKernel()
 	w, _ := cluster(k, n)
 	for i := 0; i < n; i++ {
-		i := i
-		k.Spawn("r", func(p *des.Proc) {
-			for op := 0; op < ops; op++ {
-				p.Advance(float64(i) * 0.001)
-				w.Rank(i).Allreduce(p, 1024)
-			}
-		})
+		k.Spawn("r", destest.Script(destest.Repeat(ops,
+			destest.Advance(float64(i)*0.001),
+			allreduce(w.Rank(i), 1024),
+		)))
 	}
 	run(t, k)
 	want := ops * ReduceRounds(n)
@@ -168,12 +188,11 @@ func TestBarrierAligns(t *testing.T) {
 	w, _ := cluster(k, n)
 	after := make([]float64, n)
 	for i := 0; i < n; i++ {
-		i := i
-		k.Spawn("r", func(p *des.Proc) {
-			p.Advance(float64(i)) // arrive at 0..3
-			w.Rank(i).Barrier(p)
-			after[i] = p.Now()
-		})
+		k.Spawn("r", destest.Script(
+			destest.Advance(float64(i)), // arrive at 0..3
+			allreduce(w.Rank(i), 8),     // the barrier
+			finishAt(&after[i]),
+		))
 	}
 	run(t, k)
 	for i := 0; i < n; i++ {
@@ -186,14 +205,8 @@ func TestBarrierAligns(t *testing.T) {
 func TestProfileAccounting(t *testing.T) {
 	k := des.NewKernel()
 	w, _ := cluster(k, 2)
-	k.Spawn("r0", func(p *des.Proc) {
-		r := w.Rank(0)
-		r.Isend(1, 1000, TagHalo)
-		r.Isend(1, 3000, TagHalo)
-	})
-	k.Spawn("r1", func(p *des.Proc) {
-		w.Rank(1).WaitCount(p, TagHalo, 2)
-	})
+	k.Spawn("r0", destest.Script(isend(w.Rank(0), 1, 1000, TagHalo), isend(w.Rank(0), 1, 3000, TagHalo)))
+	k.Spawn("r1", destest.Script(waitCount(w.Rank(1), TagHalo, 2)))
 	run(t, k)
 	prof := w.Profile()
 	if prof.TotalMsgs != 2 {
@@ -216,13 +229,8 @@ func TestProfileAccounting(t *testing.T) {
 func TestNICActivityDuringTransfer(t *testing.T) {
 	k := des.NewKernel()
 	w, nodes := cluster(k, 2)
-	k.Spawn("r0", func(p *des.Proc) {
-		w.Rank(0).Isend(1, 8<<20, TagHalo)
-		p.Advance(100)
-	})
-	k.Spawn("r1", func(p *des.Proc) {
-		w.Rank(1).WaitCount(p, TagHalo, 1)
-	})
+	k.Spawn("r0", destest.Script(isend(w.Rank(0), 1, 8<<20, TagHalo), destest.Advance(100)))
+	k.Spawn("r1", destest.Script(waitCount(w.Rank(1), TagHalo, 1)))
 	run(t, k)
 	transfer := machine.XeonE5().MsgServiceTime(8 << 20)
 	e0 := nodes[0].Energy()
@@ -256,14 +264,10 @@ func TestSwitchSerializesConcurrentSenders(t *testing.T) {
 	k := des.NewKernel()
 	w, _ := cluster(k, n)
 	for i := 1; i < n; i++ {
-		i := i
-		k.Spawn("s", func(p *des.Proc) { w.Rank(i).Isend(0, 1<<20, TagHalo) })
+		k.Spawn("s", destest.Script(isend(w.Rank(i), 0, 1<<20, TagHalo)))
 	}
 	var last float64
-	k.Spawn("r0", func(p *des.Proc) {
-		w.Rank(0).WaitCount(p, TagHalo, n-1)
-		last = p.Now()
-	})
+	k.Spawn("r0", destest.Script(waitCount(w.Rank(0), TagHalo, n-1), finishAt(&last)))
 	run(t, k)
 	svc := machine.XeonE5().MsgServiceTime(1 << 20)
 	want := float64(n-1) * svc
@@ -278,12 +282,11 @@ func TestAlltoallDeliversAll(t *testing.T) {
 		w, _ := cluster(k, n)
 		finish := make([]float64, n)
 		for i := 0; i < n; i++ {
-			i := i
-			k.Spawn("r", func(p *des.Proc) {
-				p.Advance(float64(i) * 0.01)
-				w.Rank(i).Alltoall(p, 1<<16)
-				finish[i] = p.Now()
-			})
+			k.Spawn("r", destest.Script(
+				destest.Advance(float64(i)*0.01),
+				alltoall(w.Rank(i), 1<<16),
+				finishAt(&finish[i]),
+			))
 		}
 		run(t, k)
 		for i := 0; i < n; i++ {
@@ -304,13 +307,10 @@ func TestRepeatedAlltoalls(t *testing.T) {
 	k := des.NewKernel()
 	w, _ := cluster(k, n)
 	for i := 0; i < n; i++ {
-		i := i
-		k.Spawn("r", func(p *des.Proc) {
-			for op := 0; op < ops; op++ {
-				p.Advance(float64(i) * 0.002)
-				w.Rank(i).Alltoall(p, 4096)
-			}
-		})
+		k.Spawn("r", destest.Script(destest.Repeat(ops,
+			destest.Advance(float64(i)*0.002),
+			alltoall(w.Rank(i), 4096),
+		)))
 	}
 	run(t, k)
 	for i := 0; i < n; i++ {
@@ -323,13 +323,12 @@ func TestRepeatedAlltoalls(t *testing.T) {
 func TestAlltoallSingleRankNoop(t *testing.T) {
 	k := des.NewKernel()
 	w, _ := cluster(k, 1)
-	k.Spawn("r", func(p *des.Proc) {
-		w.Rank(0).Alltoall(p, 1<<20)
-		if p.Now() != 0 {
-			t.Error("single-rank alltoall advanced time")
-		}
-	})
+	end := -1.0
+	k.Spawn("r", destest.Script(alltoall(w.Rank(0), 1<<20), finishAt(&end)))
 	run(t, k)
+	if end != 0 {
+		t.Error("single-rank alltoall advanced time")
+	}
 	if w.Profile().TotalMsgs != 0 {
 		t.Fatal("single-rank alltoall sent messages")
 	}

@@ -4,16 +4,14 @@ import (
 	"hybridperf/internal/des"
 )
 
-// This file is the sequential-engine form of the runtime's blocking paths:
-// the courier becomes a Machine carried by the pooled message record, and
-// the blocking receives/collectives become resumable ops. Each mirrors its
-// goroutine counterpart statement for statement — same send order, same
-// sequence-number matching, same NIC/idle/wait accounting — so traffic is
-// bit-for-bit identical on either engine.
+// This file holds the runtime's blocking paths as resumable ops: the
+// courier is a Machine carried by the pooled message record, and the
+// blocking receives and collectives are ops that the calling rank's
+// Machine drives across blocks.
 
-// Step implements des.Machine: the sequential courier. The message drives
-// its own transfer through the network, then drops the sender's NIC
-// reference, recycles itself and delivers — exactly the goroutine courier.
+// Step implements des.Machine: the courier. The message drives its own
+// transfer through the network, then drops the sender's NIC reference,
+// recycles itself and delivers.
 func (m *message) Step(mp *des.Proc) bool {
 	w := m.src.w
 	if !w.net.TransferStep(&m.op, mp) {
@@ -36,9 +34,11 @@ type waitOp struct {
 	ws    float64
 }
 
-// WaitCountOp is WaitCount in continuation form: arm Tag and Target, then
-// drive with Rank.WaitCountStep. The op is single-use; re-arm by
-// assignment for the next wait.
+// WaitCountOp blocks the rank's master process until the cumulative
+// number of messages received with Tag reaches Target. Blocked time is
+// accounted as network wait on core 0 and keeps the NIC active. Arm Tag
+// and Target, then drive with Rank.WaitCountStep; re-arm by assignment for
+// the next wait, once the op has completed.
 type WaitCountOp struct {
 	w      waitOp
 	Tag    Tag
@@ -72,8 +72,9 @@ func (r *Rank) WaitCountStep(op *WaitCountOp, p *des.Proc) bool {
 	panic("mpi: bad WaitCountOp state")
 }
 
-// waitSeqOp is waitSeq in continuation form: one collective round's
-// exact-match receive.
+// waitSeqOp is one collective round's exact-match receive: it waits until
+// the message with the given sequence number has arrived on the tag, with
+// the same NIC/idle/wait accounting as WaitCountOp.
 type waitSeqOp struct {
 	w   waitOp
 	tag Tag
@@ -105,10 +106,22 @@ func (r *Rank) waitSeqStep(op *waitSeqOp, p *des.Proc) bool {
 	panic("mpi: bad waitSeqOp state")
 }
 
-// AllreduceOp is Allreduce in continuation form: arm Bytes, then drive
-// with Rank.AllreduceStep. The op self-resets on completion, so one value
-// serves every iteration of a program loop. A Barrier is an AllreduceOp
-// with Bytes 8 (see Rank.Barrier).
+// AllreduceOp is a ring-hypercube allreduce of Bytes per message:
+// ceil(log2 n) rounds in which every rank sends to (id+2^k) mod n and
+// waits for one message — a permutation each round, so it cannot deadlock
+// for any world size.
+//
+// Each round is matched exactly by a sequence number (operation x round):
+// the round-k wait is satisfied only by the round-k message from
+// (id-2^k) mod n, which that rank sends only after completing its own
+// round k-1 — the dissemination-barrier dependency chain that makes the
+// operation a true global synchronisation for any world size. Every rank
+// must execute the same collective sequence (SPMD), as in MPI.
+//
+// Arm Bytes, then drive with Rank.AllreduceStep. The op self-resets on
+// completion, so one value serves every iteration of a program loop. An
+// AllreduceOp with Bytes 8 is the barrier, which is how MPI_Barrier costs
+// out on an Ethernet cluster (latency-bound rounds).
 type AllreduceOp struct {
 	pc     int8
 	Bytes  float64
@@ -150,9 +163,14 @@ func (r *Rank) AllreduceStep(aop *AllreduceOp, p *des.Proc) bool {
 	return true
 }
 
-// AlltoallOp is Alltoall in continuation form: arm Bytes (the per-peer
-// message volume), then drive with Rank.AlltoallStep. Self-resetting like
-// AllreduceOp.
+// AlltoallOp is a personalised all-to-all exchange: every rank sends Bytes
+// to each of the other n-1 ranks and waits for the n-1 messages addressed
+// to it, using a rotation schedule (step k sends to (id+k) mod n, a
+// permutation per step). Rank id's step-k receipt comes from (id-k) mod n
+// and is matched exactly by an (operation, step) sequence number. Like
+// AllreduceOp it is a synchronising collective; every rank must run it the
+// same number of times (SPMD). Arm Bytes, then drive with
+// Rank.AlltoallStep. Self-resetting like AllreduceOp.
 type AlltoallOp struct {
 	pc    int8
 	Bytes float64
@@ -162,7 +180,8 @@ type AlltoallOp struct {
 }
 
 // AlltoallStep drives an armed AlltoallOp: all n-1 sends are posted
-// eagerly on first entry, then the step waits are drained in order.
+// eagerly on first entry, so the exchange pipelines through the switch,
+// then the step waits are drained in order.
 func (r *Rank) AlltoallStep(aop *AlltoallOp, p *des.Proc) bool {
 	n := r.w.Size()
 	if aop.pc == 0 {

@@ -3,7 +3,8 @@
 // sweeping message sizes, yielding the latency and throughput curve and a
 // fitted service-time model y(s) = Overhead + s/Peak for the analytical
 // model. On a 100 Mbps link the measured peak lands near 90 Mbps — the
-// MPI/OS overhead the paper observes.
+// MPI/OS overhead the paper observes. The two ranks are des.Machines on
+// a fresh kernel.
 package netpipe
 
 import (
@@ -53,7 +54,6 @@ func Measure(prof *machine.Profile, sizes []float64, reps int) ([]Point, error) 
 	}
 
 	k := des.NewKernel()
-	defer k.Shutdown() // reap the pooled courier goroutines
 	sw := simnet.New(k, prof, 2)
 	nodes := []*node.Node{
 		node.New(k, prof, 0, 1, prof.FMax(), nil),
@@ -61,42 +61,81 @@ func Measure(prof *machine.Profile, sizes []float64, reps int) ([]Point, error) 
 	}
 	world := mpi.NewWorld(k, sw, nodes)
 
-	points := make([]Point, 0, len(sizes))
-	// Rank 1 echoes every message it receives, forever (it ends when the
-	// kernel runs out of rank-0 events and detects rank1 halted — which we
-	// avoid by having rank 1 stop after the known total).
-	total := len(sizes) * reps
-	k.Spawn("echo", func(p *des.Proc) {
-		r := world.Rank(1)
-		sent := 0
-		for _, size := range sizes {
-			for i := 0; i < reps; i++ {
-				r.WaitCount(p, mpi.TagHalo, sent+1)
-				sent++
-				r.Isend(0, size, mpi.TagHalo)
-			}
-		}
-		_ = total
-	})
-	k.Spawn("pingpong", func(p *des.Proc) {
-		r := world.Rank(0)
-		got := 0
-		for _, size := range sizes {
-			start := p.Now()
-			for i := 0; i < reps; i++ {
-				r.Isend(1, size, mpi.TagHalo)
-				got++
-				r.WaitCount(p, mpi.TagHalo, got)
-			}
-			rtt := (p.Now() - start) / float64(reps)
-			lat := rtt / 2
-			points = append(points, Point{Bytes: size, Latency: lat, Throughput: size / lat})
-		}
-	})
+	// Rank 1 echoes each of the len(sizes)*reps messages back; rank 0
+	// sends, waits for the echo and times each size's round trips.
+	k.Spawn("echo", &echo{r: world.Rank(1), sizes: sizes, reps: reps})
+	pp := &pingpong{r: world.Rank(0), sizes: sizes, reps: reps, points: make([]Point, 0, len(sizes))}
+	k.Spawn("pingpong", pp)
 	if err := k.Run(math.Inf(1)); err != nil {
 		return nil, fmt.Errorf("netpipe: %w", err)
 	}
-	return points, nil
+	return pp.points, nil
+}
+
+// echo is rank 1 of the ping-pong: it waits for message n+1 and sends
+// it straight back, for every message of the sweep.
+type echo struct {
+	r       *mpi.Rank
+	sizes   []float64
+	reps    int
+	n       int // messages echoed so far
+	wait    mpi.WaitCountOp
+	waiting bool
+}
+
+// Step implements des.Machine.
+func (e *echo) Step(p *des.Proc) bool {
+	for e.n < len(e.sizes)*e.reps {
+		if !e.waiting {
+			e.wait = mpi.WaitCountOp{Tag: mpi.TagHalo, Target: e.n + 1}
+			e.waiting = true
+		}
+		if !e.r.WaitCountStep(&e.wait, p) {
+			return false
+		}
+		e.waiting = false
+		e.r.Isend(0, e.sizes[e.n/e.reps], mpi.TagHalo)
+		e.n++
+	}
+	return true
+}
+
+// pingpong is rank 0: per size it runs reps round trips and records half
+// the mean round-trip time as the one-way latency.
+type pingpong struct {
+	r       *mpi.Rank
+	sizes   []float64
+	reps    int
+	n       int // round trips completed
+	start   float64
+	wait    mpi.WaitCountOp
+	waiting bool
+	points  []Point
+}
+
+// Step implements des.Machine.
+func (pp *pingpong) Step(p *des.Proc) bool {
+	for pp.n < len(pp.sizes)*pp.reps {
+		size := pp.sizes[pp.n/pp.reps]
+		if !pp.waiting {
+			if pp.n%pp.reps == 0 {
+				pp.start = p.Now()
+			}
+			pp.r.Isend(1, size, mpi.TagHalo)
+			pp.wait = mpi.WaitCountOp{Tag: mpi.TagHalo, Target: pp.n + 1}
+			pp.waiting = true
+		}
+		if !pp.r.WaitCountStep(&pp.wait, p) {
+			return false
+		}
+		pp.waiting = false
+		pp.n++
+		if pp.n%pp.reps == 0 {
+			lat := (p.Now() - pp.start) / float64(pp.reps) / 2
+			pp.points = append(pp.points, Point{Bytes: size, Latency: lat, Throughput: size / lat})
+		}
+	}
+	return true
 }
 
 // Fit performs the least-squares fit of latency against message size,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hybridperf/internal/des"
+	"hybridperf/internal/des/destest"
 	"hybridperf/internal/machine"
 	"hybridperf/internal/rng"
 )
@@ -16,14 +17,26 @@ func run(t *testing.T, k *des.Kernel) {
 	}
 }
 
+// compute is one compute burst on a core as a script step.
+func compute(nd *Node, core int, units, bFrac float64) destest.Step {
+	var op ComputeOp
+	op.Set(units, bFrac)
+	return func(p *des.Proc) bool { return nd.ComputeStep(&op, p, core) }
+}
+
+// memAccess is one memory burst on a core as a script step.
+func memAccess(nd *Node, core int, bytes float64) destest.Step {
+	var op MemOp
+	op.Set(bytes)
+	return func(p *des.Proc) bool { return nd.MemStep(&op, p, core) }
+}
+
 func TestComputeAccountsCycles(t *testing.T) {
 	prof := machine.XeonE5()
 	k := des.NewKernel()
 	nd := New(k, prof, 0, 1, 1.8e9, nil) // no jitter
 	const units = 1.8e9                  // exactly 1 s of work cycles
-	k.Spawn("c", func(p *des.Proc) {
-		nd.Compute(p, 0, units, 0.1)
-	})
+	k.Spawn("c", destest.Script(compute(nd, 0, units, 0.1)))
 	run(t, k)
 	c := nd.Ctrs[0]
 	if math.Abs(c.WorkTime-1) > 1e-9 {
@@ -46,7 +59,7 @@ func TestComputeISAFactor(t *testing.T) {
 	k := des.NewKernel()
 	arm := machine.ARMCortexA9()
 	nd := New(k, arm, 0, 1, 1.4e9, nil)
-	k.Spawn("c", func(p *des.Proc) { nd.Compute(p, 0, 1.4e9, 0) })
+	k.Spawn("c", destest.Script(compute(nd, 0, 1.4e9, 0)))
 	run(t, k)
 	if got := nd.Ctrs[0].WorkTime; math.Abs(got-arm.CyclesPerWork) > 1e-9 {
 		t.Fatalf("ARM WorkTime = %g, want %g", got, arm.CyclesPerWork)
@@ -56,10 +69,7 @@ func TestComputeISAFactor(t *testing.T) {
 func TestComputeZeroUnitsNoop(t *testing.T) {
 	k := des.NewKernel()
 	nd := New(k, machine.XeonE5(), 0, 1, 1.2e9, nil)
-	k.Spawn("c", func(p *des.Proc) {
-		nd.Compute(p, 0, 0, 0.5)
-		nd.Compute(p, 0, -5, 0.5)
-	})
+	k.Spawn("c", destest.Script(compute(nd, 0, 0, 0.5), compute(nd, 0, -5, 0.5)))
 	run(t, k)
 	if k.Now() != 0 || nd.Ctrs[0].WorkTime != 0 {
 		t.Fatal("zero/negative compute should be a no-op")
@@ -71,7 +81,7 @@ func TestMemAccessSingleCore(t *testing.T) {
 	k := des.NewKernel()
 	nd := New(k, prof, 0, 1, 1.8e9, nil)
 	bytes := 128e6
-	k.Spawn("c", func(p *des.Proc) { nd.MemAccess(p, 0, bytes) })
+	k.Spawn("c", destest.Script(memAccess(nd, 0, bytes)))
 	run(t, k)
 	// Single core, no contention: stall = private + shared = bytes/coreBW + lat.
 	want := bytes/prof.MemCoreBandwidth + prof.MemFixedLat
@@ -87,8 +97,7 @@ func TestMemContentionGrowsWithCores(t *testing.T) {
 		nd := New(k, prof, 0, cores, 1.8e9, nil)
 		perCore := 512e6
 		for i := 0; i < cores; i++ {
-			i := i
-			k.Spawn("c", func(p *des.Proc) { nd.MemAccess(p, i, perCore) })
+			k.Spawn("c", destest.Script(memAccess(nd, i, perCore)))
 		}
 		run(t, k)
 		var total float64
@@ -106,8 +115,7 @@ func TestMemStatsExposed(t *testing.T) {
 	k := des.NewKernel()
 	nd := New(k, machine.XeonE5(), 0, 2, 1.8e9, nil)
 	for i := 0; i < 2; i++ {
-		i := i
-		k.Spawn("c", func(p *des.Proc) { nd.MemAccess(p, i, 64e6) })
+		k.Spawn("c", destest.Script(memAccess(nd, i, 64e6)))
 	}
 	run(t, k)
 	if s := nd.MemStats(); s.Served != 2 {
@@ -119,7 +127,7 @@ func TestEnergyIdleOnly(t *testing.T) {
 	prof := machine.XeonE5()
 	k := des.NewKernel()
 	nd := New(k, prof, 0, 1, 1.2e9, nil)
-	k.Spawn("c", func(p *des.Proc) { p.Advance(10) })
+	k.Spawn("c", destest.Script(destest.Advance(10)))
 	run(t, k)
 	e := nd.Energy()
 	if math.Abs(e.Idle-prof.PSysIdle*10) > 1e-9 {
@@ -135,7 +143,7 @@ func TestEnergyActiveCompute(t *testing.T) {
 	k := des.NewKernel()
 	f := 1.8e9
 	nd := New(k, prof, 0, 1, f, nil)
-	k.Spawn("c", func(p *des.Proc) { nd.Compute(p, 0, f*2, 0) }) // 2 s active
+	k.Spawn("c", destest.Script(compute(nd, 0, f*2, 0))) // 2 s active
 	run(t, k)
 	e := nd.Energy()
 	want := prof.PCoreAct.At(f) * 2
@@ -148,7 +156,7 @@ func TestEnergyStallIncludesMemPower(t *testing.T) {
 	prof := machine.XeonE5()
 	k := des.NewKernel()
 	nd := New(k, prof, 0, 1, 1.8e9, nil)
-	k.Spawn("c", func(p *des.Proc) { nd.MemAccess(p, 0, 256e6) })
+	k.Spawn("c", destest.Script(memAccess(nd, 0, 256e6)))
 	run(t, k)
 	e := nd.Energy()
 	elapsed := k.Now()
@@ -166,15 +174,16 @@ func TestEnergyNetRef(t *testing.T) {
 	prof := machine.ARMCortexA9()
 	k := des.NewKernel()
 	nd := New(k, prof, 0, 1, 1.4e9, nil)
-	k.Spawn("c", func(p *des.Proc) {
-		nd.NetRef(1)
-		p.Advance(3)
-		nd.NetRef(1) // overlapping activity should not double-bill
-		p.Advance(2)
-		nd.NetRef(-1)
-		nd.NetRef(-1)
-		p.Advance(5)
-	})
+	netRef := func(delta int) destest.Step { return destest.Do(func(*des.Proc) { nd.NetRef(delta) }) }
+	k.Spawn("c", destest.Script(
+		netRef(1),
+		destest.Advance(3),
+		netRef(1), // overlapping activity should not double-bill
+		destest.Advance(2),
+		netRef(-1),
+		netRef(-1),
+		destest.Advance(5),
+	))
 	run(t, k)
 	e := nd.Energy()
 	want := prof.PNet * 5 // active from t=0 to t=5 only
@@ -186,7 +195,7 @@ func TestEnergyNetRef(t *testing.T) {
 func TestNegativeNetRefPanics(t *testing.T) {
 	k := des.NewKernel()
 	nd := New(k, machine.XeonE5(), 0, 1, 1.2e9, nil)
-	k.Spawn("c", func(p *des.Proc) { nd.NetRef(-1) })
+	k.Spawn("c", destest.Script(destest.Do(func(*des.Proc) { nd.NetRef(-1) })))
 	if err := k.Run(math.Inf(1)); err == nil {
 		t.Fatal("negative NIC refcount did not fail the run")
 	}
@@ -197,11 +206,7 @@ func TestJitterPerturbsDeterministically(t *testing.T) {
 	elapsed := func(seed int64) float64 {
 		k := des.NewKernel()
 		nd := New(k, prof, 0, 1, 1.8e9, rng.New(seed))
-		k.Spawn("c", func(p *des.Proc) {
-			for i := 0; i < 20; i++ {
-				nd.Compute(p, 0, 1.8e8, 0)
-			}
-		})
+		k.Spawn("c", destest.Script(destest.Repeat(20, compute(nd, 0, 1.8e8, 0))))
 		run(t, k)
 		return k.Now()
 	}
@@ -240,9 +245,12 @@ func TestNetWaitCountsIdle(t *testing.T) {
 	prof := machine.XeonE5()
 	k := des.NewKernel()
 	nd := New(k, prof, 0, 1, 1.8e9, nil)
-	k.Spawn("c", func(p *des.Proc) {
-		nd.NetWait(0, func() { p.Advance(4) })
-	})
+	var start float64
+	k.Spawn("c", destest.Script(
+		destest.Do(func(*des.Proc) { start = nd.NetWaitBegin(0) }),
+		destest.Advance(4),
+		destest.Do(func(*des.Proc) { nd.NetWaitEnd(0, start) }),
+	))
 	run(t, k)
 	if got := nd.Ctrs[0].NetWaitTime; math.Abs(got-4) > 1e-9 {
 		t.Fatalf("NetWaitTime = %g, want 4", got)
@@ -258,8 +266,8 @@ func TestTotalsAggregation(t *testing.T) {
 	k := des.NewKernel()
 	f := 1.2e9
 	nd := New(k, prof, 0, 2, f, nil)
-	k.Spawn("a", func(p *des.Proc) { nd.Compute(p, 0, f, 0) })
-	k.Spawn("b", func(p *des.Proc) { nd.Compute(p, 1, f, 0) })
+	k.Spawn("a", destest.Script(compute(nd, 0, f, 0)))
+	k.Spawn("b", destest.Script(compute(nd, 1, f, 0)))
 	run(t, k)
 	tot := nd.Totals(k.Now())
 	if math.Abs(tot.WorkCycles-2*f) > 1 {

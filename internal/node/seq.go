@@ -5,16 +5,16 @@ import (
 	"hybridperf/internal/trace"
 )
 
-// This file is the sequential-engine form of the node's blocking
-// operations: Compute and MemAccess decomposed into resumable ops that a
-// des.Machine drives across blocks. Each op mirrors its goroutine
-// counterpart statement for statement — same jitter draw, same state
-// transitions, same counter updates at the same virtual times — so runs
-// are bit-for-bit identical on either engine.
+// This file holds the node's blocking operations — a compute burst and a
+// memory burst — as resumable ops that a des.Machine drives across
+// blocks.
 
-// ComputeOp is Compute in continuation form. Set arms one burst; Step
-// (via Node.ComputeStep) drives it to completion, after which the op is
-// ready for the next Set.
+// ComputeOp is one compute burst on a core: the core runs in the active
+// state for the ISA-dependent cycle count, inflated by the program/ISA
+// pipeline-stall fraction bFrac and (if a jitter stream is attached) by
+// OS noise. Work and non-memory stall cycles are counted separately, as a
+// hardware counter would report them. Set arms one burst; Node.ComputeStep
+// drives it to completion, after which the op is ready for the next Set.
 type ComputeOp struct {
 	pc    int8
 	units float64
@@ -65,9 +65,14 @@ func (n *Node) ComputeStep(op *ComputeOp, p *des.Proc, core int) bool {
 	panic("node: bad ComputeOp state")
 }
 
-// MemOp is MemAccess in continuation form. Set arms one memory burst;
-// Node.MemStep drives it across the private advance, the memory-controller
-// queue and the shared drain.
+// MemOp is one memory burst: the core stalls on the given DRAM traffic
+// (bytes, already scaled by the profile's MemTrafficFactor). The burst has
+// a private portion — the core alone cannot saturate the controller — and
+// a shared portion serialised at the node's memory controller, where
+// queueing against the other cores produces the contention-driven stall
+// growth the model's ms(c,f) input captures. Set arms one burst;
+// Node.MemStep drives it across the private advance, the
+// memory-controller queue and the shared drain.
 type MemOp struct {
 	pc      int8
 	bytes   float64

@@ -7,8 +7,6 @@
 package omp
 
 import (
-	"strconv"
-
 	"hybridperf/internal/des"
 	"hybridperf/internal/node"
 )
@@ -19,16 +17,15 @@ import (
 // thread 0 of each region.
 //
 // Worker threads form a persistent pool: they are spawned once, on the
-// team's first parallel region, and parked with Halt between regions — a
-// run with thousands of regions creates exactly Size()-1 worker
-// goroutines, as a real OpenMP runtime would.
+// team's first parallel region, and halted between regions — a run with
+// thousands of regions creates exactly Size()-1 worker processes, as a
+// real OpenMP runtime would.
 type Team struct {
 	k    *des.Kernel
 	node *node.Node
 
 	workers []*des.Proc // parked pool, index i drives thread id i+1
-	body    func(th *Thread)
-	done    int // workers finished with the current region
+	done    int         // workers finished with the current region
 	join    des.Cond
 	master  Thread // reusable master-thread context (tid 0)
 }
@@ -49,63 +46,4 @@ type Thread struct {
 	P    *des.Proc // the simulated process driving this thread
 	ID   int       // thread id == core id
 	team *Team
-}
-
-// Compute executes work units on this thread's core (active power state,
-// pipeline stalls and OS jitter applied by the node).
-func (th *Thread) Compute(units, bFrac float64) {
-	th.team.node.Compute(th.P, th.ID, units, bFrac)
-}
-
-// MemAccess stalls this thread on a DRAM burst of the given traffic.
-func (th *Thread) MemAccess(bytes float64) {
-	th.team.node.MemAccess(th.P, th.ID, bytes)
-}
-
-// Parallel runs body once per thread (an `omp parallel` region) and blocks
-// the master process until every thread has finished — the region's
-// implicit barrier. The master runs body inline as tid 0; worker threads
-// are pooled daemon processes woken per region (spawned on the first).
-func (t *Team) Parallel(p *des.Proc, body func(th *Thread)) {
-	if m := t.k.Metrics(); m != nil {
-		m.Regions++
-	}
-	n := t.Size()
-	t.body = body
-	t.done = 0
-	if t.workers == nil {
-		t.spawnWorkers(p.Name(), n)
-	} else {
-		for _, wp := range t.workers {
-			wp.Wake()
-		}
-	}
-	t.master = Thread{P: p, ID: 0, team: t}
-	body(&t.master)
-	if t.done < n-1 {
-		t.join.Wait(p)
-	}
-	t.body = nil
-}
-
-// spawnWorkers creates the persistent pool on the first region. Each
-// worker runs the current region body, signals completion, and parks until
-// the next region wakes it; abort (Kernel.Shutdown, run failure) unwinds
-// parked workers through the kernel's abort signal.
-func (t *Team) spawnWorkers(master string, n int) {
-	for tid := 1; tid < n; tid++ {
-		name := master + ".t" + strconv.Itoa(tid)
-		th := Thread{ID: tid, team: t}
-		t.workers = append(t.workers, t.k.SpawnDaemon(name, func(wp *des.Proc) {
-			th.P = wp
-			for {
-				t.body(&th)
-				t.done++
-				if t.done == t.Size()-1 {
-					t.join.Broadcast() // last worker releases the master
-				}
-				wp.Halt()
-			}
-		}))
-	}
 }

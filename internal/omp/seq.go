@@ -7,33 +7,31 @@ import (
 	"hybridperf/internal/node"
 )
 
-// This file is the sequential-engine form of the fork-join region:
-// Parallel decomposes into RegionBegin (fork) and RegionJoinArm (the
-// implicit barrier), with the persistent worker pool spawned as
-// continuation machines. Spawn order, worker names, completion counting
-// and the join broadcast mirror the goroutine forms exactly, so regions
-// are bit-for-bit identical on either engine.
+// This file is the fork-join region in continuation form: an `omp
+// parallel` region is RegionBegin (fork) and RegionJoinArm (the implicit
+// barrier), with the persistent worker pool spawned as daemon machines.
 
-// SeqBody is the continuation form of a parallel-region body: Step runs
+// Body is the continuation form of a parallel-region body: Step runs
 // one thread's share of the region until it blocks (false) or completes
 // (true). A body must self-reset on completion — the same value is
 // re-entered at the next region.
-type SeqBody interface {
+type Body interface {
 	Step(th *Thread) bool
 }
 
-// RegionBegin opens a parallel region on the sequential engine: it counts
-// the region, resets the join accounting and makes every worker runnable
-// (spawning the persistent pool on the first region; mk builds the body
-// machine for worker tid). It returns the master's Thread context (tid 0);
-// the caller drives its own body to completion and then RegionJoinArm.
-func (t *Team) RegionBegin(p *des.Proc, mk func(tid int) SeqBody) *Thread {
+// RegionBegin opens a parallel region: it counts the region, resets the
+// join accounting and makes every worker runnable (spawning the persistent
+// pool on the first region; mk builds the body machine for worker tid).
+// It returns the master's Thread context (tid 0); the master runs the
+// body inline as tid 0, driving its own share to completion, and then
+// calls RegionJoinArm.
+func (t *Team) RegionBegin(p *des.Proc, mk func(tid int) Body) *Thread {
 	if m := t.k.Metrics(); m != nil {
 		m.Regions++
 	}
 	t.done = 0
 	if t.workers == nil {
-		t.spawnWorkersSeq(p.Name(), t.Size(), mk)
+		t.spawnWorkers(p.Name(), t.Size(), mk)
 	} else {
 		for _, wp := range t.workers {
 			wp.Wake()
@@ -55,19 +53,18 @@ func (t *Team) RegionJoinArm(p *des.Proc) bool {
 	return true
 }
 
-// seqWorker drives one persistent worker thread as a continuation,
-// mirroring the goroutine worker loop: run the region body, count
-// completion (the last worker releases the master), park until the next
-// region wakes it.
-type seqWorker struct {
+// worker drives one persistent worker thread: run the region body,
+// count completion (the last worker releases the master), halt until the
+// next region wakes it.
+type worker struct {
 	t    *Team
 	th   Thread
-	body SeqBody
+	body Body
 }
 
 // Step implements des.Machine. It always returns false: a worker is a
 // daemon that parks between regions and never completes.
-func (w *seqWorker) Step(p *des.Proc) bool {
+func (w *worker) Step(p *des.Proc) bool {
 	w.th.P = p
 	if !w.body.Step(&w.th) {
 		return false
@@ -80,11 +77,11 @@ func (w *seqWorker) Step(p *des.Proc) bool {
 	return false
 }
 
-func (t *Team) spawnWorkersSeq(master string, n int, mk func(tid int) SeqBody) {
+func (t *Team) spawnWorkers(master string, n int, mk func(tid int) Body) {
 	for tid := 1; tid < n; tid++ {
 		name := master + ".t" + strconv.Itoa(tid)
-		w := &seqWorker{t: t, th: Thread{ID: tid, team: t}, body: mk(tid)}
-		t.workers = append(t.workers, t.k.SpawnDaemonSeq(name, w))
+		w := &worker{t: t, th: Thread{ID: tid, team: t}, body: mk(tid)}
+		t.workers = append(t.workers, t.k.SpawnDaemon(name, w))
 	}
 }
 

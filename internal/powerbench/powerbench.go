@@ -5,6 +5,8 @@
 // meter, whose reading carries the calibrated noise the paper reports
 // (up to 2 W on Xeon, 0.4 W on ARM nodes). Memory power is taken from the
 // JEDEC specification (the profile's datasheet value), as the paper does.
+// Each micro-benchmark drives its simulated cores as des.Machines on a
+// fresh kernel, so a characterisation leaves nothing running behind it.
 package powerbench
 
 import (
@@ -47,12 +49,50 @@ func meterRead(energy, duration float64, prof *machine.Profile, noise *rng.Strea
 	return p
 }
 
+// sleeper is a micro-benchmark driver that runs start (if any) at its
+// first dispatch and then sleeps through the benchmark's duration.
+type sleeper struct {
+	start func()
+	slept bool
+}
+
+// Step implements des.Machine.
+func (s *sleeper) Step(p *des.Proc) bool {
+	if s.slept {
+		return true
+	}
+	if s.start != nil {
+		s.start()
+	}
+	s.slept = true
+	return p.AdvanceArm(benchDuration)
+}
+
+// burstLoop repeats one resumable burst on a core until the benchmark's
+// duration has elapsed. A burst that blocked is resumed to completion
+// before the clock is checked again.
+type burstLoop struct {
+	burst   func(p *des.Proc) bool // false: blocked, re-enter on the next Step
+	inBurst bool
+}
+
+// Step implements des.Machine.
+func (l *burstLoop) Step(p *des.Proc) bool {
+	for l.inBurst || p.Now() < benchDuration {
+		l.inBurst = true
+		if !l.burst(p) {
+			return false
+		}
+		l.inBurst = false
+	}
+	return true
+}
+
 // runIdle measures the idle node power.
 func runIdle(prof *machine.Profile, noise *rng.Stream) (float64, error) {
 	k := des.NewKernel()
-	defer k.Shutdown() // reap the pooled worker and courier goroutines
 	nd := node.New(k, prof, 0, 1, prof.FMax(), nil)
-	k.Spawn("idle", func(p *des.Proc) { p.Advance(benchDuration) })
+	k.Spawn("idle", &sleeper{})
 	if err := k.Run(math.Inf(1)); err != nil {
 		return 0, err
 	}
@@ -62,16 +102,14 @@ func runIdle(prof *machine.Profile, noise *rng.Stream) (float64, error) {
 // runSpin measures node power with c cores spinning pure compute at f.
 func runSpin(prof *machine.Profile, c int, f float64, noise *rng.Stream) (float64, error) {
 	k := des.NewKernel()
-	defer k.Shutdown() // reap the pooled worker and courier goroutines
 	nd := node.New(k, prof, 0, c, f, nil)
 	chunk := 0.25 * f / prof.CyclesPerWork // work units per 0.25 s slice
 	for core := 0; core < c; core++ {
-		core := core
-		k.Spawn(fmt.Sprintf("spin%d", core), func(p *des.Proc) {
-			for p.Now() < benchDuration {
-				nd.Compute(p, core, chunk, 0)
-			}
-		})
+		var op node.ComputeOp
+		op.Set(chunk, 0)
+		k.Spawn(fmt.Sprintf("spin%d", core), &burstLoop{burst: func(p *des.Proc) bool {
+			return nd.ComputeStep(&op, p, core)
+		}})
 	}
 	if err := k.Run(math.Inf(1)); err != nil {
 		return 0, err
@@ -84,16 +122,14 @@ func runSpin(prof *machine.Profile, c int, f float64, noise *rng.Stream) (float6
 // memory (a pointer-chase analogue) at f.
 func runStall(prof *machine.Profile, c int, f float64, noise *rng.Stream) (float64, error) {
 	k := des.NewKernel()
-	defer k.Shutdown() // reap the pooled worker and courier goroutines
 	nd := node.New(k, prof, 0, c, f, nil)
 	burst := prof.MemBandwidth * 0.25 / float64(c) // ~0.25 s per round at saturation
 	for core := 0; core < c; core++ {
-		core := core
-		k.Spawn(fmt.Sprintf("chase%d", core), func(p *des.Proc) {
-			for p.Now() < benchDuration {
-				nd.MemAccess(p, core, burst)
-			}
-		})
+		var op node.MemOp
+		op.Set(burst)
+		k.Spawn(fmt.Sprintf("chase%d", core), &burstLoop{burst: func(p *des.Proc) bool {
+			return nd.MemStep(&op, p, core)
+		}})
 	}
 	if err := k.Run(math.Inf(1)); err != nil {
 		return 0, err
@@ -105,7 +141,6 @@ func runStall(prof *machine.Profile, c int, f float64, noise *rng.Stream) (float
 // runNet measures the sender-node power of a saturated outbound stream.
 func runNet(prof *machine.Profile, noise *rng.Stream) (float64, error) {
 	k := des.NewKernel()
-	defer k.Shutdown() // reap the pooled worker and courier goroutines
 	sw := simnet.New(k, prof, 2)
 	nodes := []*node.Node{
 		node.New(k, prof, 0, 1, prof.FMax(), nil),
@@ -115,13 +150,12 @@ func runNet(prof *machine.Profile, noise *rng.Stream) (float64, error) {
 	msg := 1 << 20 // 1 MiB messages keep the NIC busy
 	perMsg := prof.MsgServiceTime(float64(msg))
 	count := int(benchDuration/perMsg) + 1
-	k.Spawn("stream", func(p *des.Proc) {
+	k.Spawn("stream", &sleeper{start: func() {
 		r := world.Rank(0)
 		for i := 0; i < count; i++ {
 			r.Isend(1, float64(msg), mpi.TagHalo)
 		}
-		p.Advance(benchDuration)
-	})
+	}})
 	if err := k.Run(math.Inf(1)); err != nil {
 		return 0, err
 	}

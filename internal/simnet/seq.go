@@ -6,12 +6,11 @@ import (
 	"hybridperf/internal/des"
 )
 
-// This file is the sequential-engine form of Transfer for both network
-// models: the same acquisition order, advances and statistics as the
-// goroutine forms, decomposed into a resumable op, so transfers are
-// bit-for-bit identical on either engine.
+// This file holds the transfer of both network models as a resumable op
+// that a des.Machine drives across blocks.
 
-// TransferOp is the continuation state of one in-flight Transfer.
+// TransferOp is the continuation state of one in-flight transfer; once it
+// completes, wait and service hold its queueing delay and service time.
 type TransferOp struct {
 	pc       int8
 	src, dst int
@@ -27,8 +26,8 @@ func (op *TransferOp) Set(src, dst int, bytes float64) {
 	op.src, op.dst, op.bytes = src, dst, bytes
 }
 
-// TransferStep implements Network: the single shared server, acquired,
-// held for the service time and released — Switch.Transfer in steps.
+// TransferStep implements Network: every message serialises at the one
+// server, acquired, held for the service time and released.
 func (s *Switch) TransferStep(op *TransferOp, p *des.Proc) bool {
 	switch op.pc {
 	case 0:
@@ -40,7 +39,7 @@ func (s *Switch) TransferStep(op *TransferOp, p *des.Proc) bool {
 		}
 		fallthrough
 	case 1:
-		s.res.AcquireDone(op.enq)
+		op.wait = s.res.AcquireDone(op.enq)
 		op.pc = 2
 		if !p.AdvanceArm(op.service) {
 			return false
@@ -55,7 +54,7 @@ func (s *Switch) TransferStep(op *TransferOp, p *des.Proc) bool {
 }
 
 // TransferStep implements Network: egress then ingress port acquisition,
-// cut-through service, reverse release — Crossbar.Transfer in steps.
+// cut-through service, reverse release.
 func (x *Crossbar) TransferStep(op *TransferOp, p *des.Proc) bool {
 	switch op.pc {
 	case 0:

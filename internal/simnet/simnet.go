@@ -23,14 +23,11 @@ import (
 
 // Network is the interconnect abstraction the MPI runtime sends through.
 type Network interface {
-	// Transfer moves one message from node src to node dst on behalf of
-	// process p, blocking p for queueing plus service; it returns the
-	// queueing delay and the service time.
-	Transfer(p *des.Proc, src, dst int, bytes float64) (wait, service float64)
-	// TransferStep is Transfer in continuation form for the sequential
-	// engine: op must have been armed with TransferOp.Set. False means the
-	// transfer blocked (the calling Machine must yield and re-enter), true
-	// means it completed with the op re-armed for the next Set.
+	// TransferStep moves one message on behalf of process p, blocking p
+	// for queueing plus service; op must have been armed with
+	// TransferOp.Set. False means the transfer blocked (the calling
+	// Machine must yield and re-enter), true means it completed, with the
+	// op ready for the next Set.
 	TransferStep(op *TransferOp, p *des.Proc) bool
 	// ServiceTime exposes the uncontended service time for a message size.
 	ServiceTime(bytes float64) float64
@@ -56,13 +53,6 @@ type Switch struct {
 // NewSwitch creates the shared switch for a cluster described by prof.
 func NewSwitch(k *des.Kernel, prof *machine.Profile) *Switch {
 	return &Switch{prof: prof, res: des.NewResource(k, "switch")}
-}
-
-// Transfer implements Network: every message serialises at the one server.
-func (s *Switch) Transfer(p *des.Proc, _, _ int, bytes float64) (wait, service float64) {
-	service = s.prof.MsgServiceTime(bytes)
-	wait = s.res.Serve(p, service)
-	return wait, service
 }
 
 // ServiceTime implements Network.
@@ -96,25 +86,6 @@ func NewCrossbar(k *des.Kernel, prof *machine.Profile, n int) *Crossbar {
 		x.ingress = append(x.ingress, des.NewResource(k, fmt.Sprintf("ingress[%d]", i)))
 	}
 	return x
-}
-
-// Transfer implements Network.
-func (x *Crossbar) Transfer(p *des.Proc, src, dst int, bytes float64) (wait, service float64) {
-	if src < 0 || src >= len(x.egress) || dst < 0 || dst >= len(x.ingress) {
-		panic(fmt.Sprintf("simnet: crossbar transfer %d->%d outside %d ports", src, dst, len(x.egress)))
-	}
-	service = x.prof.MsgServiceTime(bytes)
-	start := p.Now()
-	x.egress[src].Acquire(p)
-	x.ingress[dst].Acquire(p)
-	wait = p.Now() - start
-	p.Advance(service)
-	x.ingress[dst].Release()
-	x.egress[src].Release()
-	x.served++
-	x.totalWait += wait
-	x.totalSvc += service
-	return wait, service
 }
 
 // ServiceTime implements Network.

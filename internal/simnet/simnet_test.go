@@ -5,20 +5,33 @@ import (
 	"testing"
 
 	"hybridperf/internal/des"
+	"hybridperf/internal/des/destest"
 	"hybridperf/internal/machine"
 )
+
+// transfer arms op for one transfer and returns it as a script step; once
+// the step completes, op.wait and op.service hold the transfer's queueing
+// delay and service time.
+func transfer(net Network, op *TransferOp, src, dst int, bytes float64) destest.Step {
+	op.Set(src, dst, bytes)
+	return func(p *des.Proc) bool { return net.TransferStep(op, p) }
+}
+
+// finishAt returns a step recording the process's completion time in *at.
+func finishAt(at *float64) destest.Step {
+	return destest.Do(func(p *des.Proc) { *at = p.Now() })
+}
 
 func TestTransferServiceMatchesProfile(t *testing.T) {
 	prof := machine.XeonE5()
 	k := des.NewKernel()
 	sw := NewSwitch(k, prof)
-	var wait, service float64
-	k.Spawn("m", func(p *des.Proc) {
-		wait, service = sw.Transfer(p, 0, 1, 1<<20)
-	})
+	var op TransferOp
+	k.Spawn("m", destest.Script(transfer(sw, &op, 0, 1, 1<<20)))
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
+	wait, service := op.wait, op.service
 	if wait != 0 {
 		t.Fatalf("uncontended wait = %g", wait)
 	}
@@ -39,19 +52,16 @@ func TestSwitchContention(t *testing.T) {
 	k := des.NewKernel()
 	sw := NewSwitch(k, prof)
 	const n = 4
-	waits := make([]float64, n)
-	for i := 0; i < n; i++ {
-		i := i
-		k.Spawn("m", func(p *des.Proc) {
-			waits[i], _ = sw.Transfer(p, i, 0, 1<<20)
-		})
+	ops := make([]TransferOp, n)
+	for i := range ops {
+		k.Spawn("m", destest.Script(transfer(sw, &ops[i], i, 0, 1<<20)))
 	}
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
 	svc := prof.MsgServiceTime(1 << 20)
-	for i, w := range waits {
-		want := float64(i) * svc
+	for i := range ops {
+		w, want := ops[i].wait, float64(i)*svc
 		if math.Abs(w-want) > 1e-9 {
 			t.Fatalf("message %d wait = %g, want %g (FCFS serialization)", i, w, want)
 		}
@@ -84,14 +94,9 @@ func TestCrossbarDisjointPairsParallel(t *testing.T) {
 	k := des.NewKernel()
 	x := NewCrossbar(k, prof, 4)
 	done := make([]float64, 2)
-	k.Spawn("a", func(p *des.Proc) {
-		x.Transfer(p, 0, 1, 1<<20)
-		done[0] = p.Now()
-	})
-	k.Spawn("b", func(p *des.Proc) {
-		x.Transfer(p, 2, 3, 1<<20)
-		done[1] = p.Now()
-	})
+	var a, b TransferOp
+	k.Spawn("a", destest.Script(transfer(x, &a, 0, 1, 1<<20), finishAt(&done[0])))
+	k.Spawn("b", destest.Script(transfer(x, &b, 2, 3, 1<<20), finishAt(&done[1])))
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -109,14 +114,9 @@ func TestCrossbarIncastSerializes(t *testing.T) {
 	const n = 5
 	x := NewCrossbar(k, prof, n)
 	var last float64
+	ops := make([]TransferOp, n)
 	for i := 1; i < n; i++ {
-		i := i
-		k.Spawn("s", func(p *des.Proc) {
-			x.Transfer(p, i, 0, 1<<20)
-			if p.Now() > last {
-				last = p.Now()
-			}
-		})
+		k.Spawn("s", destest.Script(transfer(x, &ops[i], i, 0, 1<<20), finishAt(&last)))
 	}
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
@@ -133,14 +133,10 @@ func TestCrossbarSenderSerializes(t *testing.T) {
 	k := des.NewKernel()
 	x := NewCrossbar(k, prof, 4)
 	var last float64
+	ops := make([]TransferOp, 4)
 	for i := 1; i < 4; i++ {
-		i := i
-		k.Spawn("m", func(p *des.Proc) {
-			x.Transfer(p, 0, i, 1<<20) // one source, distinct destinations
-			if p.Now() > last {
-				last = p.Now()
-			}
-		})
+		// One source, distinct destinations.
+		k.Spawn("m", destest.Script(transfer(x, &ops[i], 0, i, 1<<20), finishAt(&last)))
 	}
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
@@ -155,10 +151,8 @@ func TestCrossbarStats(t *testing.T) {
 	prof := machine.XeonE5()
 	k := des.NewKernel()
 	x := NewCrossbar(k, prof, 2)
-	k.Spawn("m", func(p *des.Proc) {
-		x.Transfer(p, 0, 1, 1<<20)
-		x.Transfer(p, 0, 1, 1<<20)
-	})
+	var op TransferOp
+	k.Spawn("m", destest.Script(destest.Repeat(2, transfer(x, &op, 0, 1, 1<<20))))
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +172,8 @@ func TestCrossbarInvalidPortPanics(t *testing.T) {
 	prof := machine.XeonE5()
 	k := des.NewKernel()
 	x := NewCrossbar(k, prof, 2)
-	k.Spawn("m", func(p *des.Proc) { x.Transfer(p, 0, 7, 8) })
+	var op TransferOp
+	k.Spawn("m", destest.Script(transfer(x, &op, 0, 7, 8)))
 	if err := k.Run(math.Inf(1)); err == nil {
 		t.Fatal("out-of-range port accepted")
 	}

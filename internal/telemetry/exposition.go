@@ -419,13 +419,11 @@ func WriteEngineText(w io.Writer, snap metrics.EngineSnapshot) {
 	}
 	counter("hybridperf_engine_events_total", "Events dispatched by the DES kernel.",
 		func(s metrics.EngineSnapshot) uint64 { return s.Events })
-	counter("hybridperf_engine_handoffs_total", "Direct process-to-process handoff dispatches.",
-		func(s metrics.EngineSnapshot) uint64 { return s.Handoffs })
-	counter("hybridperf_engine_self_dispatches_total", "Park fast-path dispatches (next event was the parker's own).",
+	counter("hybridperf_engine_self_dispatches_total", "Dispatches that resumed the process stepped last.",
 		func(s metrics.EngineSnapshot) uint64 { return s.SelfDispatches })
-	counter("hybridperf_engine_scheduler_dispatches_total", "Dispatches performed by the Run caller.",
+	counter("hybridperf_engine_scheduler_dispatches_total", "Dispatches that switched to another process.",
 		func(s metrics.EngineSnapshot) uint64 { return s.SchedulerDispatches })
-	counter("hybridperf_engine_lookaheads_total", "Advance fast-path clock moves that bypassed the event queue.",
+	counter("hybridperf_engine_lookaheads_total", "AdvanceArm fast-path clock moves that bypassed the event queue.",
 		func(s metrics.EngineSnapshot) uint64 { return s.Lookaheads })
 	counter("hybridperf_engine_pool_hits_total", "Tasks served by a parked pooled runner.",
 		func(s metrics.EngineSnapshot) uint64 { return s.PoolHits })

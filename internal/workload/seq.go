@@ -57,7 +57,7 @@ type runM struct {
 	lastMemStall float64
 
 	body   bodyM // the master thread's region body (tid 0)
-	mkBody func(tid int) omp.SeqBody
+	mkBody func(tid int) omp.Body
 	th     *omp.Thread
 
 	ar  mpi.AllreduceOp
@@ -128,7 +128,7 @@ func (s *Spec) Machine(env *Env) (des.Machine, error) {
 		bar: mpi.AllreduceOp{Bytes: 8},
 	}
 	m.body.r = m
-	m.mkBody = func(tid int) omp.SeqBody { return &bodyM{r: m} }
+	m.mkBody = func(tid int) omp.Body { return &bodyM{r: m} }
 	return m, nil
 }
 
@@ -221,7 +221,7 @@ func (m *runM) Step(p *des.Proc) bool {
 	return true
 }
 
-// Step implements omp.SeqBody: the burst loop of one region on one thread.
+// Step implements omp.Body: the burst loop of one region on one thread.
 func (m *bodyM) Step(th *omp.Thread) bool {
 	r := m.r
 	for m.b < r.bursts {

@@ -170,7 +170,7 @@ func TestSynthetic(t *testing.T) {
 func runProgram(t *testing.T, s *Spec, n, c int) (*mpi.World, []*node.Node, float64) {
 	t.Helper()
 	prof := machine.XeonE5()
-	k := des.NewSequentialKernel()
+	k := des.NewKernel()
 	sw := simnet.NewSwitch(k, prof)
 	var nodes []*node.Node
 	for i := 0; i < n; i++ {
@@ -183,7 +183,7 @@ func runProgram(t *testing.T, s *Spec, n, c int) (*mpi.World, []*node.Node, floa
 		if err != nil {
 			t.Fatal(err)
 		}
-		k.SpawnSeq("rank", m)
+		k.Spawn("rank", m)
 	}
 	if err := k.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
@@ -270,7 +270,7 @@ func TestRunMoreCoresFaster(t *testing.T) {
 
 func TestRunUnknownClassFails(t *testing.T) {
 	prof := machine.XeonE5()
-	k := des.NewSequentialKernel()
+	k := des.NewKernel()
 	sw := simnet.NewSwitch(k, prof)
 	nd := node.New(k, prof, 0, 1, prof.FMax(), nil)
 	world := mpi.NewWorld(k, sw, []*node.Node{nd})
