@@ -100,7 +100,7 @@ func BenchmarkExploreFigure8Space(b *testing.B) {
 
 // BenchmarkExploreFullSpace sweeps a dense 8-node x 8-core x all-DVFS
 // Xeon space (192 configurations) through the sweep engine, serial vs
-// 8-worker, the headline numbers recorded in BENCH_1.json.
+// 8-worker.
 func BenchmarkExploreFullSpace(b *testing.B) {
 	model := benchModel(b, XeonE5(), SP())
 	cfgs := model.Space(pareto.Range(1, 8))

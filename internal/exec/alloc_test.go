@@ -46,3 +46,25 @@ func TestRunAllocBudget(t *testing.T) {
 		t.Errorf("governor adds %v allocations to a run, budget %d", governed-plain, governorAllocMargin)
 	}
 }
+
+// sweepAllocBudget pins BenchmarkSweep's fixture. It runs with one
+// worker: with several, the count moves by one or two with scheduling.
+const sweepAllocBudget = 1060
+
+// TestSweepAllocBudget pins the allocations of a sweep: the runs plus
+// the sweep engine's own bookkeeping.
+func TestSweepAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	reqs := sweepFixture()
+	got := testing.AllocsPerRun(3, func() {
+		if _, err := Sweep(reqs, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("sweep %v allocs", got)
+	if got > sweepAllocBudget {
+		t.Errorf("sweep allocates %v times, budget %d", got, sweepAllocBudget)
+	}
+}

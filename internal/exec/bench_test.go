@@ -47,8 +47,7 @@ func governedFixture(tb testing.TB) Request {
 
 // BenchmarkRun measures runFixture — the unit of work every experiment
 // artifact and sweep repeats thousands of times. Its allocations are
-// pinned by TestRunAllocBudget; ns/op is gated in CI against the
-// sequential-engine reference in BENCH_3.json.
+// pinned by TestRunAllocBudget.
 func BenchmarkRun(b *testing.B) {
 	req := runFixture()
 	b.ReportAllocs()
@@ -63,7 +62,7 @@ func BenchmarkRun(b *testing.B) {
 // BenchmarkRunGoverned measures governedFixture. The gap to BenchmarkRun
 // is the all-in price of the governed path: the ObservePhases
 // counter-delta hook, the EWMA frequency decision and the transition
-// recording. Gated in CI against BENCH_5.json.
+// recording. Its allocations are pinned by TestRunAllocBudget.
 func BenchmarkRunGoverned(b *testing.B) {
 	req := governedFixture(b)
 	b.ReportAllocs()
@@ -75,9 +74,8 @@ func BenchmarkRunGoverned(b *testing.B) {
 	}
 }
 
-// BenchmarkSweep measures a small validation sweep (one point per node
-// count) through the concurrent sweep engine with 8 workers.
-func BenchmarkSweep(b *testing.B) {
+// sweepFixture is a small validation sweep: one point per node count.
+func sweepFixture() []Request {
 	var reqs []Request
 	for _, nodes := range []int{1, 2, 4, 8} {
 		reqs = append(reqs, Request{
@@ -88,6 +86,14 @@ func BenchmarkSweep(b *testing.B) {
 			Seed:  int64(nodes),
 		})
 	}
+	return reqs
+}
+
+// BenchmarkSweep measures sweepFixture through the concurrent sweep
+// engine with 8 workers. Its allocations are pinned by
+// TestSweepAllocBudget.
+func BenchmarkSweep(b *testing.B) {
+	reqs := sweepFixture()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

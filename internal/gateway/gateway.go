@@ -60,10 +60,11 @@ type Gateway struct {
 	start  time.Time
 
 	// sample is the gateway's trace-sampling probability for requests
-	// that arrive without a traceparent (see SetTraceSample); traces
-	// retains this hop's completed payloads for the stitch endpoint.
+	// that arrive without a traceparent (see SetTraceSample); spans
+	// holds this hop's sampled root and fan-out spans for the stitch
+	// endpoint.
 	sample float64
-	traces *telemetry.TraceStore
+	spans  *telemetry.Spans
 
 	mReq    *telemetry.CounterVec
 	mFan    *telemetry.CounterVec
@@ -91,6 +92,7 @@ func New(peers []string, logger *slog.Logger) (*Gateway, error) {
 		log:    logger,
 		reg:    telemetry.NewRegistry(),
 		start:  time.Now(),
+		spans:  telemetry.NewSpans(0),
 	}
 	g.mReq = g.reg.Counter("hybridperf_gateway_requests_total",
 		"Requests served by the gateway, by route and status code.", "route", "code")
@@ -106,7 +108,6 @@ func New(peers []string, logger *slog.Logger) (*Gateway, error) {
 		"Predicted application runtime (virtual seconds) summed over relayed predictions, by route.", "route")
 	g.mEnergy = g.reg.FloatCounter("hybridperf_gateway_predicted_energy_joules_total",
 		"Predicted energy (joules) summed over relayed predictions, by route.", "route")
-	g.traces = telemetry.NewTraceStore(0)
 	// Peers start unknown-down until the first probe, so the series exist
 	// (and alert rules have a value) from the first scrape.
 	for _, p := range g.peers {
@@ -163,8 +164,8 @@ func (g *Gateway) Handler() http.Handler {
 // (parsed from an incoming traceparent or minted here — the gateway is
 // usually the edge that decides sampling for the whole chain) and one
 // access-log line carrying the request and trace ids. Sampled requests
-// record a span tree whose completed payload lands in the gateway's own
-// trace store, one stitch source among the shards'.
+// record their root span (and post their fan-out spans) into the
+// gateway's own span ring, one stitch source among the shards'.
 func (g *Gateway) observe(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -178,20 +179,14 @@ func (g *Gateway) observe(route string, h http.HandlerFunc) http.HandlerFunc {
 		w.Header().Set("X-Request-Id", id)
 		w.Header().Set(telemetry.TraceparentHeader, tc.Traceparent())
 		ctx := telemetry.WithTraceContext(r.Context(), tc)
-		var rt *telemetry.RequestTrace
-		if tc.Sampled {
-			rt = telemetry.NewRequestTrace(tc)
-			ctx = telemetry.WithRequestTrace(ctx, rt)
-		}
 		sw := &statusWriter{ResponseWriter: w}
 		h(sw, r.WithContext(ctx))
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
 		end := time.Now()
-		if rt != nil {
-			rt.AddSpan("http", r.Method+" "+route, start, end)
-			g.traces.Put(rt.Payload("gateway"))
+		if tc.Sampled {
+			g.spans.RecordRoot(tc, r.Method+" "+route, sw.status, start, end)
 		}
 		g.mReq.With(route, strconv.Itoa(sw.status)).Inc()
 		g.log.LogAttrs(ctx, slog.LevelInfo, "request",
@@ -422,9 +417,11 @@ func (g *Gateway) post(r *http.Request, peer, path string, body []byte, stream b
 	// stitch endpoint can collect all their payloads under one id.
 	if tc, ok := telemetry.TraceContextFrom(r.Context()); ok {
 		req.Header.Set(telemetry.TraceparentHeader, tc.Child().Traceparent())
+		if tc.Sampled {
+			start := time.Now()
+			defer func() { g.spans.Record(tc, "gateway", "fanout "+peer+path, start, time.Now()) }()
+		}
 	}
-	endFan := telemetry.RequestTraceFrom(r.Context()).Span("gateway", "fanout "+peer+path)
-	defer endFan()
 	g.mFan.With(peer).Inc()
 	resp, err := g.client.Do(req)
 	if err != nil {

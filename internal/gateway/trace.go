@@ -56,7 +56,7 @@ func (g *Gateway) countAttribution(route string, preds int, simS, energyJ float6
 func (g *Gateway) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("traceid")
 	var payloads []*telemetry.TracePayload
-	if own, ok := g.traces.Get(id); ok {
+	if own := g.spans.Payload(id, "gateway"); own != nil {
 		payloads = append(payloads, own)
 	}
 	fetched := make([]*telemetry.TracePayload, len(g.peers))
@@ -110,8 +110,9 @@ func (g *Gateway) fetchTrace(ctx context.Context, peer, id string) *telemetry.Tr
 // stitchProcesses converts hop payloads into one lane group per hop on a
 // shared time axis (seconds since the earliest recorded span). An engine
 // phase timeline is anchored at the start of the characterisation span
-// that produced it, so the virtual-time lane renders inside the
-// wall-clock span that paid for it.
+// that produced it — the hop's first, since the first timeline wins — so
+// the virtual-time lane renders inside the wall-clock span that paid for
+// it.
 func stitchProcesses(payloads []*telemetry.TracePayload) []trace.ProcessTrace {
 	t0 := int64(0)
 	first := true
@@ -125,13 +126,13 @@ func stitchProcesses(payloads []*telemetry.TracePayload) []trace.ProcessTrace {
 	procs := make([]trace.ProcessTrace, 0, len(payloads))
 	for _, p := range payloads {
 		proc := trace.ProcessTrace{Name: p.Source}
-		var charStart float64
+		charStart, anchored := 0.0, false
 		for _, s := range p.Spans {
 			start := float64(s.StartUS-t0) / 1e6
 			end := float64(s.EndUS-t0) / 1e6
 			proc.Spans = append(proc.Spans, trace.Span{Name: s.Name, Cat: s.Cat, Start: start, End: end})
-			if s.Cat == "model" && strings.HasPrefix(s.Name, "characterize ") {
-				charStart = start
+			if !anchored && s.Cat == "model" && strings.HasPrefix(s.Name, "characterize ") {
+				charStart, anchored = start, true
 			}
 		}
 		for _, ph := range p.Phases {

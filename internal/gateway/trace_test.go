@@ -336,3 +336,27 @@ func TestGatewayReadyzPerPeer(t *testing.T) {
 		}
 	}
 }
+
+// TestStitchAnchorsPhasesAtFirstCampaign: a hop that ran two cold
+// campaigns for one request carries the first campaign's timeline (the
+// first attach wins), so the stitch anchors it at the first
+// characterisation span, not the last.
+func TestStitchAnchorsPhasesAtFirstCampaign(t *testing.T) {
+	p := &telemetry.TracePayload{
+		Source: "shard",
+		Spans: []telemetry.TraceSpan{
+			{Name: "characterize xeon/LU", Cat: "model", StartUS: 1_000_000, EndUS: 2_000_000},
+			{Name: "characterize xeon/SP", Cat: "model", StartUS: 2_000_000, EndUS: 3_000_000},
+			{Name: "POST /v1/batch", Cat: "http", StartUS: 0, EndUS: 4_000_000},
+		},
+		PhaseLabel: "LU (2,1,1.8)",
+		Phases:     []telemetry.TracePhase{{Rank: 0, Kind: "compute", StartS: 0, EndS: 0.5}},
+	}
+	procs := stitchProcesses([]*telemetry.TracePayload{p})
+	if len(procs) != 1 || len(procs[0].Phases) != 1 {
+		t.Fatalf("stitched %+v", procs)
+	}
+	if got := procs[0].PhaseOffset; got != 1 {
+		t.Errorf("phase offset %g s, want 1 (the first characterisation span)", got)
+	}
+}

@@ -292,19 +292,27 @@ func ARMCortexA9() *Profile {
 	}
 }
 
-// Profiles returns the built-in profiles keyed by name.
-func Profiles() map[string]*Profile {
-	return map[string]*Profile{
-		"xeon": XeonE5(),
-		"arm":  ARMCortexA9(),
-	}
+// builtin maps each built-in profile's name to its constructor, so a
+// lookup builds only the profile it returns.
+var builtin = map[string]func() *Profile{
+	"xeon": XeonE5,
+	"arm":  ARMCortexA9,
 }
 
-// ByName returns a built-in profile ("xeon" or "arm").
+// Profiles returns the built-in profiles keyed by name.
+func Profiles() map[string]*Profile {
+	out := make(map[string]*Profile, len(builtin))
+	for name, build := range builtin {
+		out[name] = build()
+	}
+	return out
+}
+
+// ByName returns a fresh copy of a built-in profile ("xeon" or "arm").
 func ByName(name string) (*Profile, error) {
-	p, ok := Profiles()[name]
+	build, ok := builtin[name]
 	if !ok {
 		return nil, fmt.Errorf("machine: unknown profile %q (want xeon or arm)", name)
 	}
-	return p, nil
+	return build(), nil
 }

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -47,6 +48,26 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("riscv"); err == nil {
 		t.Fatal("unknown profile accepted")
+	}
+}
+
+// TestByNameMatchesCatalogue: each lookup builds a fresh copy equal to
+// the catalogue's entry, and an unknown name keeps its exact error.
+func TestByNameMatchesCatalogue(t *testing.T) {
+	for name, want := range Profiles() {
+		got, err := ByName(name)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("ByName(%s) = %+v, %v; catalogue has %+v", name, got, err, want)
+		}
+		got.Frequencies[0] = -1
+		got.Name = "mutated"
+		if again, _ := ByName(name); !reflect.DeepEqual(again, want) {
+			t.Fatalf("ByName(%s) returned shared state: %+v", name, again)
+		}
+	}
+	_, err := ByName("riscv")
+	if want := `machine: unknown profile "riscv" (want xeon or arm)`; err == nil || err.Error() != want {
+		t.Fatalf("unknown-name error %v, want %q", err, want)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package metrics provides the simulator's observability primitives: the
 // plain per-run engine tally a DES kernel counts into (EngineSnapshot),
-// the lock-free cumulative Engine that finished runs publish their tally
-// into, power-of-two histograms, and the aggregate views the run/sweep
+// the cumulative Engine that finished runs publish their tally into,
+// power-of-two histogram buckets, and the aggregate views the run/sweep
 // drivers report. Instrumentation is off by default — a kernel with no
 // tally pays one nil check per hook — and never feeds back into the
 // simulation, so metrics-on and metrics-off runs are bit-for-bit
@@ -12,47 +12,13 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
-	"sync/atomic"
+	"sync"
 )
-
-// Counter is a monotonically increasing atomic counter. The zero value is
-// ready to use. Atomic operations let concurrent runs publish into one
-// Engine.
-type Counter struct{ v atomic.Uint64 }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Load returns the current count.
-func (c *Counter) Load() uint64 { return c.v.Load() }
-
-// HighWater tracks the maximum value ever observed. The zero value is
-// ready to use.
-type HighWater struct{ v atomic.Uint64 }
-
-// Observe raises the high-water mark to v if v exceeds it.
-func (h *HighWater) Observe(v uint64) {
-	for {
-		cur := h.v.Load()
-		if v <= cur || h.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// Load returns the high-water mark.
-func (h *HighWater) Load() uint64 { return h.v.Load() }
 
 // HistBuckets is the number of power-of-two histogram buckets: bucket i
 // counts observations v with floor(log2(v)) == i (bucket 0 takes 0 and 1),
 // and the last bucket absorbs everything at or above 2^(HistBuckets-1).
 const HistBuckets = 28
-
-// Histogram is a fixed power-of-two-bucketed histogram of uint64
-// observations, filled by merging tallies' plain bucket counts (see
-// EngineSnapshot.ObserveMessage and Engine.Add). The zero value is ready
-// to use.
-type Histogram struct{ buckets [HistBuckets]atomic.Uint64 }
 
 // bucketOf maps an observation to its bucket index.
 func bucketOf(v uint64) int {
@@ -64,23 +30,6 @@ func bucketOf(v uint64) int {
 		b = HistBuckets - 1
 	}
 	return b
-}
-
-// add merges the bucket counts of a plain histogram snapshot.
-func (h *Histogram) add(buckets [HistBuckets]uint64) {
-	for i, n := range buckets {
-		if n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-}
-
-// Snapshot returns the bucket counts.
-func (h *Histogram) Snapshot() (out [HistBuckets]uint64) {
-	for i := range h.buckets {
-		out[i] = h.buckets[i].Load()
-	}
-	return out
 }
 
 // HistString renders the non-empty buckets of a histogram snapshot as
@@ -160,64 +109,32 @@ func Quantile(buckets [HistBuckets]uint64, q float64) float64 {
 	return hi
 }
 
-// Engine is a cumulative, concurrency-safe engine counter set — typically
-// one per process, owned by a serving layer. Kernels never write it while
-// they run: each run counts into its kernel's own plain EngineSnapshot and
-// publishes that tally here once, with Add, when it finishes. A shared set
-// of atomics written from every dispatch of several concurrent runs
-// contends on one cache line; publishing once per run does not. Every
-// field is atomic, so any number of runs may publish concurrently.
+// Engine is a cumulative, concurrency-safe engine tally — typically one
+// per process, owned by a serving layer. Kernels never write it while
+// they run: each run counts into its kernel's own plain EngineSnapshot
+// and publishes that tally here once, with Add, when it finishes.
+// Publication is once per run, so the mutex does not contend, and a
+// Snapshot always sees whole tallies.
 type Engine struct {
-	// Kernel dispatch accounting (see EngineSnapshot).
-	Events              Counter   // events dispatched by the kernel
-	SelfDispatches      Counter   // dispatches resuming the process that stepped last
-	SchedulerDispatches Counter   // dispatches switching to another process
-	Lookaheads          Counter   // AdvanceArm fast path: clock moved, no event
-	HeapHighWater       HighWater // deepest future-event heap observed
-
-	// Pooled task runners (Kernel.Go).
-	PoolHits   Counter // tasks served by a parked pooled runner
-	PoolSpawns Counter // tasks that had to spawn a fresh runner
-
-	// Simulated runtimes.
-	Regions  Counter   // OpenMP parallel regions executed
-	Messages Counter   // MPI messages posted
-	MsgBytes Histogram // MPI message sizes [B]
+	mu sync.Mutex
+	s  EngineSnapshot
 }
 
-// NewEngine returns an empty engine counter set.
+// NewEngine returns an empty engine tally.
 func NewEngine() *Engine { return &Engine{} }
 
-// Add publishes one run's tally: one atomic add per counter and non-empty
-// histogram bucket, and one high-water update. Concurrent Adds are safe;
-// Snapshot taken meanwhile may see a tally partly applied.
+// Add publishes one run's tally. Concurrent Adds are safe.
 func (e *Engine) Add(s EngineSnapshot) {
-	e.Events.Add(s.Events)
-	e.SelfDispatches.Add(s.SelfDispatches)
-	e.SchedulerDispatches.Add(s.SchedulerDispatches)
-	e.Lookaheads.Add(s.Lookaheads)
-	e.HeapHighWater.Observe(s.HeapHighWater)
-	e.PoolHits.Add(s.PoolHits)
-	e.PoolSpawns.Add(s.PoolSpawns)
-	e.Regions.Add(s.Regions)
-	e.Messages.Add(s.Messages)
-	e.MsgBytes.add(s.MsgBytes)
+	e.mu.Lock()
+	e.s.Add(s)
+	e.mu.Unlock()
 }
 
-// Snapshot captures the current counter values.
+// Snapshot copies the current tally.
 func (e *Engine) Snapshot() EngineSnapshot {
-	return EngineSnapshot{
-		Events:              e.Events.Load(),
-		SelfDispatches:      e.SelfDispatches.Load(),
-		SchedulerDispatches: e.SchedulerDispatches.Load(),
-		Lookaheads:          e.Lookaheads.Load(),
-		HeapHighWater:       e.HeapHighWater.Load(),
-		PoolHits:            e.PoolHits.Load(),
-		PoolSpawns:          e.PoolSpawns.Load(),
-		Regions:             e.Regions.Load(),
-		Messages:            e.Messages.Load(),
-		MsgBytes:            e.MsgBytes.Snapshot(),
-	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.s
 }
 
 // EngineSnapshot is the plain-value form of the engine counters. It is
@@ -244,7 +161,7 @@ type EngineSnapshot struct {
 	// Simulated runtimes.
 	Regions  uint64              // OpenMP parallel regions executed
 	Messages uint64              // MPI messages posted
-	MsgBytes [HistBuckets]uint64 // MPI message sizes [B], bucketed as Histogram
+	MsgBytes [HistBuckets]uint64 // MPI message sizes [B], power-of-two buckets (see HistBuckets)
 }
 
 // ObserveHeap raises HeapHighWater to depth if depth exceeds it.

@@ -7,25 +7,6 @@ import (
 	"testing"
 )
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Add(1)
-	c.Add(4)
-	if got := c.Load(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
-	}
-}
-
-func TestHighWater(t *testing.T) {
-	var h HighWater
-	for _, v := range []uint64{3, 9, 2, 9, 5} {
-		h.Observe(v)
-	}
-	if got := h.Load(); got != 9 {
-		t.Fatalf("high water = %d, want 9", got)
-	}
-}
-
 func TestHistogramBuckets(t *testing.T) {
 	cases := []struct {
 		v    uint64
@@ -197,6 +178,57 @@ func TestEngineConcurrentWriters(t *testing.T) {
 	}
 	if total != workers*perWorker {
 		t.Fatalf("histogram total = %d", total)
+	}
+}
+
+// TestEngineSnapshotWholeTallies: a Snapshot taken while goroutines
+// publish never sees a tally partly applied — every snapshot keeps the
+// per-tally invariants Events = SelfDispatches + SchedulerDispatches and
+// sum(MsgBytes) = Messages.
+func TestEngineSnapshotWholeTallies(t *testing.T) {
+	e := NewEngine()
+	const writers, perWriter = 4, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				tally := EngineSnapshot{Events: 3, SelfDispatches: 1, SchedulerDispatches: 2}
+				tally.ObserveMessage(uint64(w*i + 1))
+				tally.ObserveMessage(1 << 20)
+				e.Add(tally)
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	check := func(s EngineSnapshot) {
+		t.Helper()
+		if s.Events != s.SelfDispatches+s.SchedulerDispatches {
+			t.Fatalf("torn snapshot: events %d != %d self + %d scheduler",
+				s.Events, s.SelfDispatches, s.SchedulerDispatches)
+		}
+		var total uint64
+		for _, n := range s.MsgBytes {
+			total += n
+		}
+		if total != s.Messages {
+			t.Fatalf("torn snapshot: histogram holds %d messages, counter %d", total, s.Messages)
+		}
+	}
+	for polling := true; polling; {
+		select {
+		case <-done:
+			polling = false
+		default:
+			check(e.Snapshot())
+		}
+	}
+	s := e.Snapshot()
+	check(s)
+	if s.Events != 3*writers*perWriter {
+		t.Fatalf("events = %d, want %d", s.Events, 3*writers*perWriter)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"time"
 
 	"hybridperf/internal/characterize"
@@ -63,11 +64,8 @@ func canonPolicies(requested []string) ([]string, error) {
 }
 
 func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
-	rt := RequestTraceFrom(r.Context())
-	var tDecode time.Time
-	if rt != nil {
-		tDecode = time.Now()
-	}
+	tc, _ := traceContextFor(r.Context())
+	tDecode := stageStart(tc)
 	body, ok := readBodyMax(w, r, 1<<20)
 	if !ok {
 		return
@@ -76,9 +74,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSONBytes(w, body, &req) {
 		return
 	}
-	if rt != nil {
-		rt.AddSpan("handler", "decode", tDecode, time.Now())
-	}
+	s.spans.stage(tc, "decode", tDecode)
 	if !validEngine(w, req.Engine) {
 		return
 	}
@@ -171,13 +167,8 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 			return nil, fmt.Errorf("advise failed: %w", err)
 		}
 		tEval := time.Now()
-		s.spans.Observe("model", fmt.Sprintf("advise %s/%s n=%d c=%d (%d policies)",
-			req.System, req.Program, nodes, cores, len(adv.Policies)),
-			t0, tEval, map[string]any{"id": requestID(r.Context())})
-		if rt != nil {
-			rt.AddSpan("model", fmt.Sprintf("advise %s/%s (%d policies)",
-				req.System, req.Program, len(adv.Policies)), t0, tEval)
-		}
+		s.spans.Record(tc, "model", "advise "+req.System+"/"+req.Program+
+			" ("+strconv.Itoa(len(adv.Policies))+" policies)", t0, tEval)
 		// Per-policy governor accounting, recorded on the cold path only
 		// — cache hits repeat the answer, not the evaluation.
 		for _, out := range adv.Policies {
@@ -187,9 +178,9 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		s.mAdviseRec.With(adv.Recommended).Inc()
-		endRender := rt.Span("handler", "render")
+		tRender := stageStart(tc)
 		resp := buildAdviseResponse(req.System, req.Program, class, slowdown, adv)
-		endRender()
+		s.spans.stage(tc, "render", tRender)
 		return resp, nil
 	})
 }

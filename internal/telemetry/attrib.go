@@ -111,13 +111,13 @@ func (s *Server) traceSource() string {
 	return "hybridperfd"
 }
 
-// handleTraceByID serves GET /debug/trace/{traceid}: the completed span
-// payload one sampled request left behind on this replica. The gateway
-// pulls this from every shard to stitch one cross-process trace.
+// handleTraceByID serves GET /debug/trace/{traceid}: the sampled spans
+// one request left in this replica's span ring. The gateway pulls this
+// from every shard to stitch one cross-process trace.
 func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("traceid")
-	p, ok := s.traces.Get(id)
-	if !ok {
+	p := s.spans.Payload(id, s.traceSource())
+	if p == nil {
 		httpError(w, http.StatusNotFound, "unknown trace id %q (sampled traces only, bounded retention)", id)
 		return
 	}

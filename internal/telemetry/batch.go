@@ -5,6 +5,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 
@@ -68,11 +69,8 @@ type batchResultJSON struct {
 // (claimed by the cache-flight leader), and identical concurrent requests
 // collapse to a single evaluation.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	rt := RequestTraceFrom(r.Context())
-	var tDecode time.Time
-	if rt != nil {
-		tDecode = time.Now()
-	}
+	tc, _ := traceContextFor(r.Context())
+	tDecode := stageStart(tc)
 	body, ok := readBodyMax(w, r, maxBatchBodyBytes)
 	if !ok {
 		return
@@ -91,9 +89,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 					slog.String("class", m.class),
 					slog.Int("tuples", m.tuples),
 					slog.Int("unique", m.unique))
-				if rt != nil {
-					rt.AddSpan("handler", "cache-lookup", tDecode, time.Now())
-				}
+				s.spans.stage(tc, "cache-lookup", tDecode)
 				s.writeCached(w, r, "/v1/batch", resp, cacheHit)
 				return
 			}
@@ -104,9 +100,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSONBytes(w, body, &req) {
 		return
 	}
-	if rt != nil {
-		rt.AddSpan("handler", "decode", tDecode, time.Now())
-	}
+	s.spans.stage(tc, "decode", tDecode)
 	if !validEngine(w, req.Engine) {
 		return
 	}
@@ -206,14 +200,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		tEval := time.Now()
-		s.spans.Observe("model", fmt.Sprintf("batch %d tuples (%d groups)", len(canon), groups),
-			t0, tEval, map[string]any{"id": requestID(r.Context())})
-		if rt != nil {
-			rt.AddSpan("model", fmt.Sprintf("evaluate batch (%d tuples, %d groups)", len(canon), groups), t0, tEval)
-		}
-		endRender := rt.Span("handler", "render")
+		s.spans.Record(tc, "model", "evaluate batch ("+strconv.Itoa(len(canon))+" tuples, "+
+			strconv.Itoa(groups)+" groups)", t0, tEval)
+		tRender := stageStart(tc)
 		resp := buildBatchResponse(class, groups, results)
-		endRender()
+		s.spans.stage(tc, "render", tRender)
 		return resp, nil
 	})
 }

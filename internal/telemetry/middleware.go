@@ -74,16 +74,6 @@ func annotate(ctx context.Context, attrs ...slog.Attr) {
 	a.mu.Unlock()
 }
 
-// requestID returns the id assigned to the request by instrument, "" if
-// none.
-func requestID(ctx context.Context) string {
-	a, _ := ctx.Value(annotationsKey{}).(*annotations)
-	if a == nil {
-		return ""
-	}
-	return a.id
-}
-
 // traceContextFor returns the hop's trace context: from the carrier for
 // requests that passed instrument, falling back to an explicitly
 // attached one (WithTraceContext) for everything else.
@@ -106,9 +96,9 @@ func traceContextFor(ctx context.Context) (TraceContext, bool) {
 // propagate, this hop just mints its own span id — so the edge that
 // minted the trace decides sampling for the whole chain. Requests
 // without one mint a fresh context, sampled per Config.TraceSample.
-// Sampled requests carry a RequestTrace in their context; handlers
-// record child spans into it and the completed payload lands in the
-// trace store, pullable via GET /debug/trace/{traceid}.
+// Every request records its root span into the span ring under its
+// trace context; sampled requests also record handler stages there, and
+// GET /debug/trace/{traceid} returns them.
 //
 // The /metrics route is exempt from the in-flight gauge: a scrape would
 // otherwise always observe itself as one in-flight request, so the gauge
@@ -136,11 +126,6 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 
 		ann := &annotations{id: id, tc: tc}
 		ctx := context.WithValue(r.Context(), annotationsKey{}, ann)
-		var rt *RequestTrace
-		if tc.Sampled {
-			rt = NewRequestTrace(tc)
-			ctx = WithRequestTrace(ctx, rt)
-		}
 		if applyTimeout {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
@@ -185,15 +170,9 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 			dur := end.Sub(start)
 			s.mReq.With(route, r.Method, strconv.Itoa(sw.status)).Inc()
 			s.mDur.With(route).Observe(dur.Seconds())
-			s.spans.Observe("http", r.Method+" "+route, start, end, map[string]any{
-				"id": id, "status": sw.status,
-			})
-			if rt != nil {
-				// The root span closes last, so every child nests inside it
-				// in the stitched view; then the payload becomes pullable.
-				rt.AddSpan("http", r.Method+" "+route, start, end)
-				s.traces.Put(rt.Payload(s.traceSource()))
-			}
+			// The root span closes last, so every child nests inside it
+			// in the stitched view.
+			s.spans.RecordRoot(tc, r.Method+" "+route, sw.status, start, end)
 			ann.mu.Lock()
 			attrs := make([]slog.Attr, 0, 10+len(ann.attrs))
 			attrs = append(attrs,

@@ -14,6 +14,7 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,6 +29,7 @@ import (
 	"hybridperf/internal/metrics"
 	"hybridperf/internal/modelstore"
 	"hybridperf/internal/pareto"
+	"hybridperf/internal/trace"
 	"hybridperf/internal/workload"
 )
 
@@ -104,10 +106,6 @@ type Server struct {
 	spans       *Spans
 	start       time.Time
 	ready       atomic.Bool
-
-	// traces retains completed sampled request traces for the
-	// GET /debug/trace/{traceid} pull endpoint.
-	traces *TraceStore
 
 	// attrib pre-resolves the per-route cost-attribution series so the
 	// serving path records them without a label lookup.
@@ -235,7 +233,6 @@ func NewServer(cfg Config) *Server {
 		"Requests shed by admission control, by route and reason.", "route", "reason")
 	s.mCancelled = s.reg.Counter("hybridperf_http_requests_cancelled_total",
 		"Requests whose context ended before completion, by route and reason (disconnect or timeout).", "route", "reason")
-	s.traces = NewTraceStore(0)
 	// Cost attribution: every model-serving response reports how much
 	// simulated work it carried; these aggregate the same numbers the
 	// response headers expose. Series are pre-resolved here — routes are
@@ -351,9 +348,6 @@ func (s *Server) Registry() *Registry { return s.reg }
 // server runs publishes its tally into when it ends; the counters do not
 // move while a simulation is in flight.
 func (s *Server) Engine() *metrics.Engine { return s.engine }
-
-// Spans exposes the span flight recorder.
-func (s *Server) Spans() *Spans { return s.spans }
 
 // Handler returns the full route table wrapped in the telemetry
 // middleware.
@@ -480,10 +474,13 @@ func (s *Server) model(ctx context.Context, key modelKey, admitted bool) (*model
 				return
 			}
 		}
-		rt := RequestTraceFrom(ctx)
+		tc, _ := traceContextFor(ctx)
 		// Only a sampled request asks the campaign to deliver its per-rank
 		// phase timeline: the hook forces the engine to record events, so
 		// leaving it nil keeps unsampled campaigns on the exact cold path.
+		// The timeline rides on the characterisation span; the first
+		// attach wins.
+		var phases *phaseTimeline
 		opts := characterize.Options{
 			Seed:          s.cfg.Seed,
 			Workers:       s.cfg.Workers,
@@ -492,8 +489,12 @@ func (s *Server) model(ctx context.Context, key modelKey, admitted bool) (*model
 			SharedMetrics: s.engine,
 			Observe:       s.spans.Observer("exec"),
 		}
-		if rt != nil {
-			opts.PhaseTrace = rt.AttachPhases
+		if tc.Sampled {
+			opts.PhaseTrace = func(label string, events []trace.Event) {
+				if phases == nil {
+					phases = newPhaseTimeline(label, events)
+				}
+			}
 		}
 		start := time.Now()
 		sum, err := characterize.Run(prof, spec, opts)
@@ -507,11 +508,8 @@ func (s *Server) model(ctx context.Context, key modelKey, admitted bool) (*model
 			return
 		}
 		end := time.Now()
-		s.spans.Observe("model", fmt.Sprintf("characterize %s/%s", key.system, key.program),
-			start, end, nil)
-		if rt != nil {
-			rt.AddSpan("model", fmt.Sprintf("characterize %s/%s", key.system, key.program), start, end)
-		}
+		s.spans.add(spanRec{cat: "model", name: "characterize " + key.system + "/" + key.program,
+			start: start.UnixNano(), end: end.UnixNano(), tc: tc, phases: phases})
 		annotate(ctx, slog.Uint64("engine_events", sum.Metrics.Events))
 		s.mChar.With(key.system, key.program).Inc()
 		s.mModels.With().Inc()
@@ -738,11 +736,8 @@ type predictRequest struct {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	rt := RequestTraceFrom(r.Context())
-	var tDecode time.Time
-	if rt != nil {
-		tDecode = time.Now()
-	}
+	tc, _ := traceContextFor(r.Context())
+	tDecode := stageStart(tc)
 	body, ok := readBodyMax(w, r, 1<<20)
 	if !ok {
 		return
@@ -751,9 +746,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSONBytes(w, body, &req) {
 		return
 	}
-	if rt != nil {
-		rt.AddSpan("handler", "decode", tDecode, time.Now())
-	}
+	s.spans.stage(tc, "decode", tDecode)
 	if !validEngine(w, req.Engine) {
 		return
 	}
@@ -785,14 +778,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tPred := time.Now()
-	s.spans.Observe("model", fmt.Sprintf("predict %s/%s %v", req.System, req.Program, cfg),
-		t0, tPred, map[string]any{"id": requestID(r.Context())})
-	if rt != nil {
-		rt.AddSpan("model", fmt.Sprintf("predict %s/%s", req.System, req.Program), t0, tPred)
-	}
+	s.spans.Record(tc, "model", "predict "+req.System+"/"+req.Program, t0, tPred)
 	pj := toPredictionJSON(pred)
 	s.applyAttribution(w, r, "/v1/predict", makeAttribution(1, pj.TimeS, pj.EnergyJ))
-	endRender := rt.Span("handler", "render")
+	tRender := stageStart(tc)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(struct {
 		System  string `json:"system"`
@@ -800,7 +789,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		Class   string `json:"class"`
 		predictionJSON
 	}{req.System, req.Program, string(class), pj})
-	endRender()
+	s.spans.stage(tc, "render", tRender)
 }
 
 // sweepRequest is the /v1/sweep body.
@@ -817,11 +806,8 @@ type sweepRequest struct {
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	rt := RequestTraceFrom(r.Context())
-	var tDecode time.Time
-	if rt != nil {
-		tDecode = time.Now()
-	}
+	tc, _ := traceContextFor(r.Context())
+	tDecode := stageStart(tc)
 	body, ok := readBodyMax(w, r, 1<<20)
 	if !ok {
 		return
@@ -830,9 +816,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSONBytes(w, body, &req) {
 		return
 	}
-	if rt != nil {
-		rt.AddSpan("handler", "decode", tDecode, time.Now())
-	}
+	s.spans.stage(tc, "decode", tDecode)
 	if !validEngine(w, req.Engine) {
 		return
 	}
@@ -913,14 +897,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		front := pareto.Frontier(points)
 		tEval := time.Now()
-		s.spans.Observe("model", fmt.Sprintf("sweep %s/%s (%d cfgs)", req.System, req.Program, len(cfgs)),
-			t0, tEval, map[string]any{"id": requestID(r.Context())})
-		if rt != nil {
-			rt.AddSpan("model", fmt.Sprintf("evaluate %s/%s (%d cfgs)", req.System, req.Program, len(cfgs)), t0, tEval)
-		}
-		endRender := rt.Span("handler", "render")
+		s.spans.Record(tc, "model",
+			"evaluate "+req.System+"/"+req.Program+" ("+strconv.Itoa(len(cfgs))+" cfgs)", t0, tEval)
+		tRender := stageStart(tc)
 		resp := buildSweepResponse(req.System, req.Program, class, len(cfgs), front, points, req.DeadlineS, req.BudgetJ)
-		endRender()
+		s.spans.stage(tc, "render", tRender)
 		return resp, nil
 	})
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hybridperf/internal/trace"
 )
 
 func TestSpansRingWrap(t *testing.T) {
@@ -12,7 +14,7 @@ func TestSpansRingWrap(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	for i := 0; i < 6; i++ {
 		start := t0.Add(time.Duration(i) * time.Second)
-		s.Observe("test", "span", start, start.Add(100*time.Millisecond), nil)
+		s.Record(TraceContext{}, "test", "span", start, start.Add(100*time.Millisecond))
 	}
 	got := s.Snapshot(t0)
 	if len(got) != 4 {
@@ -30,9 +32,9 @@ func TestSpansRingWrap(t *testing.T) {
 func TestSpansSinceFilter(t *testing.T) {
 	s := NewSpans(16)
 	t0 := time.Unix(1000, 0)
-	s.Observe("test", "old", t0, t0.Add(time.Second), nil)
-	s.Observe("test", "straddles", t0.Add(9*time.Second), t0.Add(11*time.Second), nil)
-	s.Observe("test", "new", t0.Add(12*time.Second), t0.Add(13*time.Second), nil)
+	s.Record(TraceContext{}, "test", "old", t0, t0.Add(time.Second))
+	s.Record(TraceContext{}, "test", "straddles", t0.Add(9*time.Second), t0.Add(11*time.Second))
+	s.Record(TraceContext{}, "test", "new", t0.Add(12*time.Second), t0.Add(13*time.Second))
 
 	since := t0.Add(10 * time.Second)
 	got := s.Snapshot(since)
@@ -52,7 +54,7 @@ func TestSpansSinceFilter(t *testing.T) {
 func TestSpansRejectsBackwardsClock(t *testing.T) {
 	s := NewSpans(4)
 	t0 := time.Unix(1000, 0)
-	s.Observe("test", "backwards", t0, t0.Add(-time.Second), nil)
+	s.Record(TraceContext{}, "test", "backwards", t0, t0.Add(-time.Second))
 	if got := s.Snapshot(time.Time{}); len(got) != 0 {
 		t.Fatalf("backwards span recorded: %+v", got)
 	}
@@ -60,7 +62,7 @@ func TestSpansRejectsBackwardsClock(t *testing.T) {
 
 func TestSpansNilSafe(t *testing.T) {
 	var s *Spans
-	s.Observe("test", "x", time.Unix(0, 0), time.Unix(1, 0), nil)
+	s.Record(TraceContext{}, "test", "x", time.Unix(0, 0), time.Unix(1, 0))
 	if got := s.Snapshot(time.Time{}); got != nil {
 		t.Errorf("nil Snapshot = %v, want nil", got)
 	}
@@ -86,16 +88,18 @@ func TestSpansObserverAdapter(t *testing.T) {
 func TestSpansWriteChrome(t *testing.T) {
 	s := NewSpans(8)
 	t0 := time.Unix(1000, 0)
-	s.Observe("http", "POST /v1/predict", t0, t0.Add(time.Second), map[string]any{"id": "r-1"})
+	tc := NewTrace(false)
+	s.RecordRoot(tc, "POST /v1/predict", 200, t0, t0.Add(time.Second))
 	var b strings.Builder
 	if err := s.WriteChrome(&b, t0); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
 		TraceEvents []struct {
-			Name string  `json:"name"`
-			Ph   string  `json:"ph"`
-			Dur  float64 `json:"dur"`
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Dur  float64        `json:"dur"`
+			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
@@ -107,5 +111,76 @@ func TestSpansWriteChrome(t *testing.T) {
 	ev := doc.TraceEvents[0]
 	if ev.Name != "POST /v1/predict" || ev.Ph != "X" || ev.Dur != 1e6 {
 		t.Errorf("event = %+v, want complete event of 1e6 us", ev)
+	}
+	// The export renders the typed record's request id and status.
+	if ev.Args["id"] != tc.RequestID() || ev.Args["status"] != float64(200) {
+		t.Errorf("args = %v, want id %s and status 200", ev.Args, tc.RequestID())
+	}
+}
+
+// TestSpansPayloadByTraceID: the trace-id view of the ring returns only
+// the sampled records of that trace, oldest first, with the first
+// attached phase timeline; unsampled and foreign records stay out.
+func TestSpansPayloadByTraceID(t *testing.T) {
+	s := NewSpans(16)
+	t0 := time.Unix(1000, 0)
+	at := func(sec int) time.Time { return t0.Add(time.Duration(sec) * time.Second) }
+	tc := NewTrace(true)
+	other := NewTrace(true)
+	unsampled := NewTrace(false)
+
+	s.Record(TraceContext{}, "exec", "run", at(0), at(1))
+	s.Record(tc, "handler", "decode", at(0), at(1))
+	s.Record(other, "model", "predict arm/CP", at(1), at(2))
+	first := newPhaseTimeline("first", []trace.Event{{Rank: 0, Kind: trace.Compute, Start: 0, End: 1}})
+	second := newPhaseTimeline("second", []trace.Event{{Rank: 1, Kind: trace.Network, Start: 0, End: 1}})
+	s.add(spanRec{cat: "model", name: "characterize xeon/SP", start: at(1).UnixNano(), end: at(2).UnixNano(), tc: tc, phases: first})
+	s.add(spanRec{cat: "model", name: "characterize xeon/LU", start: at(2).UnixNano(), end: at(3).UnixNano(), tc: tc, phases: second})
+	s.RecordRoot(unsampled, "POST /v1/predict", 200, at(0), at(4))
+	s.RecordRoot(tc.Child(), "POST /v1/predict", 200, at(0), at(4))
+
+	p := s.Payload(tc.TraceIDString(), "shard-a")
+	if p == nil {
+		t.Fatal("no payload for a recorded sampled trace")
+	}
+	want := []string{"handler:decode", "model:characterize xeon/SP", "model:characterize xeon/LU", "http:POST /v1/predict"}
+	if got := spanNames(p); strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Errorf("spans %v, want %v", got, want)
+	}
+	if p.TraceID != tc.TraceIDString() || p.Source != "shard-a" {
+		t.Errorf("payload id %q source %q", p.TraceID, p.Source)
+	}
+	if p.Spans[3].StartUS != at(0).UnixMicro() || p.Spans[3].EndUS != at(4).UnixMicro() {
+		t.Errorf("root span times %+v", p.Spans[3])
+	}
+	if p.PhaseLabel != "first" || len(p.Phases) != 1 || p.Phases[0].Kind != "compute" {
+		t.Errorf("phases %q %+v, want the first attached timeline", p.PhaseLabel, p.Phases)
+	}
+	if s.Payload(unsampled.TraceIDString(), "x") != nil {
+		t.Error("unsampled trace returned a payload")
+	}
+	for _, id := range []string{"", "zz", strings.Repeat("g", 32), NewTrace(true).TraceIDString()} {
+		if s.Payload(id, "x") != nil {
+			t.Errorf("Payload(%q) found records", id)
+		}
+	}
+	// Retention is the ring's: once its records are overwritten, the
+	// trace is gone.
+	for i := 0; i < 16; i++ {
+		s.Record(TraceContext{}, "exec", "run", at(5), at(6))
+	}
+	if s.Payload(tc.TraceIDString(), "x") != nil {
+		t.Error("payload survived the ring overwriting its records")
+	}
+}
+
+// TestNewPhaseTimelineCaps: the timeline a record carries is bounded.
+func TestNewPhaseTimelineCaps(t *testing.T) {
+	if newPhaseTimeline("x", nil) != nil {
+		t.Error("empty timeline should be nil")
+	}
+	events := make([]trace.Event, maxTracePhases+10)
+	if got := len(newPhaseTimeline("x", events).phases); got != maxTracePhases {
+		t.Errorf("timeline holds %d phases, want %d", got, maxTracePhases)
 	}
 }

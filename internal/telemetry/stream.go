@@ -109,9 +109,8 @@ func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, route, ke
 	// closure records its own characterize/evaluate/render children over
 	// the same interval instead.
 	if status == cacheHit || status == cacheCollapsed {
-		if rt := RequestTraceFrom(r.Context()); rt != nil {
-			rt.AddSpan("handler", "cache-lookup", lookup, time.Now())
-		}
+		tc, _ := traceContextFor(r.Context())
+		s.spans.stage(tc, "cache-lookup", lookup)
 	}
 	s.writeCached(w, r, route, resp, status)
 }

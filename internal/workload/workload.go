@@ -314,16 +314,20 @@ func Programs() []*Spec { return []*Spec{LU(), SP(), BT(), CP(), LB()} }
 // Extended returns the paper's five programs plus the FT extension.
 func Extended() []*Spec { return append(Programs(), FT()) }
 
-// ByName returns one of the built-in programs.
+// builtin maps each built-in program's name to its constructor, so a
+// lookup builds only the spec it returns.
+var builtin = map[string]func() *Spec{
+	"LU": LU, "SP": SP, "BT": BT, "CP": CP, "LB": LB, "FT": FT,
+}
+
+// ByName returns a fresh copy of one of the built-in programs.
 func ByName(name string) (*Spec, error) {
-	for _, s := range Extended() {
-		if s.Name == name {
-			return s, nil
-		}
+	if build, ok := builtin[name]; ok {
+		return build(), nil
 	}
-	var names []string
-	for _, s := range Extended() {
-		names = append(names, s.Name)
+	names := make([]string, 0, len(builtin))
+	for n := range builtin {
+		names = append(names, n)
 	}
 	sort.Strings(names)
 	return nil, fmt.Errorf("workload: unknown program %q (want one of %v)", name, names)

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -42,6 +43,26 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("MG"); err == nil {
 		t.Error("unknown program accepted")
+	}
+}
+
+// TestByNameMatchesCatalogue: every catalogue program resolves by name
+// to a fresh copy equal to its entry, and an unknown name keeps its
+// exact error.
+func TestByNameMatchesCatalogue(t *testing.T) {
+	for _, want := range Extended() {
+		got, err := ByName(want.Name)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("ByName(%s) = %+v, %v; catalogue has %+v", want.Name, got, err, want)
+		}
+		got.WorkPerIter = -1
+		if again, _ := ByName(want.Name); !reflect.DeepEqual(again, want) {
+			t.Fatalf("ByName(%s) returned shared state: %+v", want.Name, again)
+		}
+	}
+	_, err := ByName("MG")
+	if want := `workload: unknown program "MG" (want one of [BT CP FT LB LU SP])`; err == nil || err.Error() != want {
+		t.Fatalf("unknown-name error %v, want %q", err, want)
 	}
 }
 
