@@ -15,23 +15,27 @@
 // simulator generates:
 //
 //   - future events (AdvanceArm with dt > 0) go through a typed 4-ary
-//     min-heap with inlined sift operations — no interface boxing, no
-//     per-event allocation;
+//     min-heap — no interface boxing, no per-event allocation;
 //   - immediate events (Wake, Spawn, AdvanceArm(0)) go through a FIFO ring:
 //     they are scheduled at the current instant with monotonically
 //     increasing sequence numbers, so FIFO order *is* (time, seq) order and
 //     they never touch the heap.
 //
-// Dispatch takes the lexicographic minimum of the two queue heads. The
-// lookahead fast path skips the queue entirely: when no pending event
-// precedes an advancing process's wake, AdvanceArm just moves the clock
-// and the process keeps executing.
+// Events order by one 128-bit key, (math.Float64bits(t), seq), compared
+// without branches as a two-word borrow chain. The key is exact because
+// every event time is >= +0, an invariant schedule documents: for
+// non-negative doubles the bit pattern orders like a uint64. The heap's
+// sift loops and the dispatch-time comparison of the two queue heads all
+// use that one comparison. The lookahead fast path skips the queue
+// entirely: when no pending event precedes an advancing process's wake,
+// AdvanceArm just moves the clock and the process keeps executing.
 package des
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"hybridperf/internal/metrics"
@@ -151,31 +155,53 @@ func (k *Kernel) SetMetrics(on bool) {
 // touched from the goroutine running the simulation.
 func (k *Kernel) Metrics() *metrics.EngineSnapshot { return k.mx }
 
+// event is one pending wake. Events order by the 128-bit key
+// (math.Float64bits(t), seq). The key is exact because every event time is
+// >= +0 (see schedule): for non-negative IEEE-754 doubles, including +Inf,
+// the bit pattern read as a uint64 orders exactly like the float, and seq
+// is unique per scheduled event, so the order is total.
 type event struct {
 	t   float64
 	seq uint64
 	p   *Proc
 }
 
-// heapPush inserts e into the 4-ary min-heap (sift-up, inlined compare).
+// earlier reports, as 1 or 0, whether key (ak, as) orders strictly before
+// key (bk, bs): the final borrow of the 128-bit subtraction a - b, high word
+// the time bits, low word the sequence number. It compiles to two
+// subtractions and no branch.
+func earlier(ak, as, bk, bs uint64) uint64 {
+	_, borrow := bits.Sub64(as, bs, 0)
+	_, borrow = bits.Sub64(ak, bk, borrow)
+	return borrow
+}
+
+// heapPush inserts e into the 4-ary min-heap (sift-up on the ordered key).
 func (k *Kernel) heapPush(e event) {
 	if k.mx != nil {
 		k.mx.ObserveHeap(uint64(len(k.heap) + 1))
 	}
 	h := append(k.heap, e)
 	i := len(h) - 1
+	ek := math.Float64bits(e.t)
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if h[parent].t < h[i].t || (h[parent].t == h[i].t && h[parent].seq < h[i].seq) {
+		if earlier(ek, e.seq, math.Float64bits(h[parent].t), h[parent].seq) == 0 {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = e
 	k.heap = h
 }
 
 // heapPop removes and returns the minimum event. Callers check emptiness.
+//
+// The sift-down picks the smallest of up to four children with masked
+// selects instead of compare-and-branch: which child is smallest is
+// data-dependent and mispredicts often, while the masks cost a fixed few
+// instructions per child.
 func (k *Kernel) heapPop() event {
 	h := k.heap
 	top := h[0]
@@ -183,29 +209,33 @@ func (k *Kernel) heapPop() event {
 	e := h[last]
 	h = h[:last]
 	k.heap = h
-	if last > 0 {
-		// Sift the former tail down from the root across 4 children:
-		// find the smallest child below e's key, promote it, descend.
-		i := 0
-		for {
-			min := -1
-			minT, minSeq := e.t, e.seq
-			c0 := i<<2 + 1
-			cEnd := c0 + 4
-			if cEnd > last {
-				cEnd = last
-			}
-			for c := c0; c < cEnd; c++ {
-				if h[c].t < minT || (h[c].t == minT && h[c].seq < minSeq) {
-					min, minT, minSeq = c, h[c].t, h[c].seq
-				}
-			}
-			if min < 0 {
-				break
-			}
-			h[i] = h[min]
-			i = min
+	ek := math.Float64bits(e.t)
+	i := 0
+	for {
+		c0 := i<<2 + 1
+		if c0 >= last {
+			break
 		}
+		cEnd := c0 + 4
+		if cEnd > last {
+			cEnd = last
+		}
+		m := c0
+		mk, ms := math.Float64bits(h[c0].t), h[c0].seq
+		for c := c0 + 1; c < cEnd; c++ {
+			ck, cs := math.Float64bits(h[c].t), h[c].seq
+			lt := -earlier(ck, cs, mk, ms) // all ones when child c is earlier
+			mk ^= (mk ^ ck) & lt
+			ms ^= (ms ^ cs) & lt
+			m ^= (m ^ c) & int(lt)
+		}
+		if earlier(ek, e.seq, mk, ms) != 0 {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	if last > 0 {
 		h[i] = e
 	}
 	return top
@@ -242,6 +272,13 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // (t == now — Spawn, Wake, zero AdvanceArm) go to the FIFO ring: the clock
 // never moves backwards and sequence numbers are monotone, so appending
 // preserves (t, seq) order without a heap round-trip.
+//
+// Every t reaching here is >= +0, the invariant the ordered event key
+// rests on. Spawn and Wake pass the clock, which starts at +0 and only
+// moves to scheduled times; AdvanceArm passes now + dt with dt clamped to
+// be non-negative. A dt of -0 passes that clamp, but +0 + -0 rounds to +0
+// and x + -0 is x, so no -0 (whose sign bit would order it after +Inf) is
+// ever stored; TestNegativeZeroAdvanceOrdersAsZero pins this.
 func (k *Kernel) schedule(p *Proc, t float64) {
 	k.seq++
 	p.wakeSeq = k.seq
@@ -262,7 +299,8 @@ func (k *Kernel) schedule(p *Proc, t float64) {
 // false, in which case the Machine must return false up to the scheduler
 // loop and treat its next Step as the advance having completed. Negative
 // or NaN durations are treated as zero (the process yields and is
-// rescheduled at the current instant, after already-pending events).
+// rescheduled at the current instant, after already-pending events), which
+// keeps every event time >= +0 (see schedule).
 //
 // Fast path: when no pending event precedes this process's wake — the FIFO
 // is drained and the heap is empty or strictly later — the kernel would
@@ -342,7 +380,7 @@ func (k *Kernel) dispatchNext() *Proc {
 		switch {
 		case immOK && len(k.heap) > 0:
 			ie, he := k.imm[k.immH], k.heap[0]
-			if he.t < ie.t || (he.t == ie.t && he.seq < ie.seq) {
+			if earlier(math.Float64bits(he.t), he.seq, math.Float64bits(ie.t), ie.seq) != 0 {
 				ev = he
 			} else {
 				ev, fromImm = ie, true

@@ -81,13 +81,35 @@ func (k *Kernel) Go(name string, m Machine) {
 //
 // A dispatch that resumes the process that stepped last is counted as a
 // self-dispatch; every other dispatch is a scheduler dispatch.
-func (k *Kernel) Run(until float64) error {
+//
+// A panicking Step is recorded as the run failure, with its process
+// retired. The recover is deferred once per Run rather than once per
+// dispatch: a panic ends dispatch anyway, so the loop is not resumed.
+func (k *Kernel) Run(until float64) (err error) {
 	k.horizon = until
 	if k.ctx != nil && k.failure == nil {
 		if err := k.ctx.Err(); err != nil {
 			k.failure = fmt.Errorf("des: run cancelled: %w", err)
 		}
 	}
+	var cur *Proc // the process inside Step, nil between dispatches
+	defer func() {
+		if cur == nil {
+			return // not inside Step: a kernel panic propagates
+		}
+		r := recover()
+		if r == nil {
+			return // runtime.Goexit, not a panic
+		}
+		if k.failure == nil {
+			k.failure = fmt.Errorf("des: process %q panicked: %v", cur.name, r)
+		}
+		cur.done = true
+		if !cur.daemon {
+			k.live--
+		}
+		err = k.finish()
+	}()
 	var prev *Proc
 	for {
 		next := k.dispatchNext()
@@ -101,27 +123,17 @@ func (k *Kernel) Run(until float64) error {
 				k.mx.SchedulerDispatches++
 			}
 		}
+		cur = next
 		k.step(next)
+		cur = nil
 		prev = next
 	}
 	return k.finish()
 }
 
 // step resumes one continuation for a single dispatch. A pooled runner
-// whose task completes returns to the pool, halted for reuse. A panicking
-// Step is recorded as the run failure, with the process retired.
+// whose task completes returns to the pool, halted for reuse.
 func (k *Kernel) step(p *Proc) {
-	defer func() {
-		if r := recover(); r != nil {
-			if k.failure == nil {
-				k.failure = fmt.Errorf("des: process %q panicked: %v", p.name, r)
-			}
-			p.done = true
-			if !p.daemon {
-				k.live--
-			}
-		}
-	}()
 	if p.pooled {
 		if p.task.Step(p) {
 			p.task = nil
